@@ -26,7 +26,7 @@ import numpy as np
 
 from .algebraic import QuadExt, square_free_part
 from .graphs import Graph, is_connected, regular_degree, signless_laplacian
-from .spectra import SpectralDecomposition
+from .spectra import SpectralDecomposition, strong_cospectrality
 
 INTEGRALITY_TOL = 1e-6
 
@@ -173,6 +173,29 @@ class CoronaSpectrum:
     def values_with_multiplicity(self) -> list:
         return [(float(e.value), e.multiplicity) for e in self.entries]
 
+    def base_signs(self, u: int, v: int, tol: float = 1e-8):
+        """Strong cospectrality of base vertices (u,0), (v,0), without projectors.
+
+        Shift projectors vanish on base columns.  A pair or top entry of
+        theta has column (w,0) equal to a nonzero multiple of F_theta e_w
+        on base and copy rows alike (its value is never s), so its sign is
+        theta's sign in G.  Entries sharing a value merge by exact
+        equality; a shift never changes a merged sign, and two opposite
+        nonzero signs on one value break strong cospectrality.  Returns
+        (flag, values, signs) with one sign per distinct value, descending,
+        in the shape of `strong_cospectrality`.
+        """
+        flag, theta_signs = strong_cospectrality(self.gdec, u, v, tol)
+        merged = {}
+        for e in self.entries:
+            sg = 0 if e.kind == SHIFT else theta_signs[e.source_index]
+            old = merged.get(e.value, 0)
+            # None marks a value whose eigenspace carries opposite signs
+            merged[e.value] = None if old is None or old * sg < 0 else old or sg
+        values = sorted(merged, key=float, reverse=True)
+        flag = flag and None not in merged.values()
+        return flag, tuple(values), tuple(merged[x] or 0 for x in values)
+
     def projector(self, k: int) -> np.ndarray:
         """Materialize the dense eigenprojector of entry k in corona order."""
         entry = self.entries[k]
@@ -290,7 +313,6 @@ def corona_spectrum(
         else:
             radicand = (theta - s + t) ** 2 + 4 * params.n2
             a_sum = theta + s + t
-        assert float(radicand) > 0
         plus, minus = _pair_values(theta, a_sum, radicand, th_int)
         for kind, value in ((PAIR_PLUS, plus), (PAIR_MINUS, minus)):
             entries.append(
@@ -306,7 +328,6 @@ def corona_spectrum(
 
     # top pair from the simple eigenvalue 2*r1
     radicand = top_radicand(params)
-    assert radicand > 0
     plus, minus = _pair_values(2 * params.r1, 2 * params.r1 + s + t, radicand, 1)
     for kind, value in ((TOP_PLUS, plus), (TOP_MINUS, minus)):
         entries.append(
@@ -353,7 +374,6 @@ def corona_transition_element(
             lam2 = x * x + 4 * params.n2 * (params.n1 - 1) ** 2
         else:
             lam2 = x * x + 4 * params.n2
-        assert lam2 > 0
         lam = math.sqrt(lam2)
         half = taus_arr / 2.0
         phase = np.exp(-1j * half * (theta + s + t))

@@ -5,7 +5,10 @@ Three layers, ordered by strength:
   refutations    parameter inequalities on the base support that rule out
                  periodicity of a corona base vertex, hence transfer
   certification  exact eigenvalue-form and parity analysis that proves or
-                 disproves perfect transfer and produces the minimum time
+                 disproves perfect transfer and produces the minimum time;
+                 between corona base vertices it runs in closed form from
+                 the factor spectra, and the dense corona matrix serves
+                 only as a test and CLI oracle
   search         bounded integer scans for times with near-perfect
                  fidelity, guaranteed to succeed when the relevant pair
                  gap is an irrational surd
@@ -21,6 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebraic import (
+    DEFAULT_RECOGNITION_TOL,
     AmbiguousMatchError,
     InvalidSupportError,
     QuadExt,
@@ -31,7 +35,8 @@ from .algebraic import (
 )
 from .corona_spectra import (
     CoronaParams,
-    corona_full_q,
+    CoronaSpectrum,
+    corona_spectrum,
     corona_transition_element,
     pair_radicand,
     top_radicand,
@@ -169,14 +174,14 @@ class K2CoronaVerdict:
 # periodicity
 
 
-def _coerce_exact(x):
+def _coerce_exact(x, tolerance: float = DEFAULT_RECOGNITION_TOL):
     """QuadExt for ints, QuadExts, and recognizable floats; None otherwise."""
     if isinstance(x, QuadExt):
         return x
     if isinstance(x, (int, np.integer)):
         return QuadExt.from_int(int(x))
     try:
-        return recognize_quadext(float(x))
+        return recognize_quadext(float(x), tolerance=tolerance)
     except AmbiguousMatchError:
         return None
 
@@ -362,11 +367,13 @@ def periodicity_size_bound(params: CoronaParams, base_support):
 def support_gap_refutation(params: CoronaParams, base_support):
     """Nonperiodicity from gap comparisons on the base support.
 
-    Close rules: some pair of support eigenvalues below the top has
+    Some pair of support eigenvalues below the top has
     0 < |lam - s + t| - |mu - s + t| < 3, or some gamma has
-    0 < ||2*r1 - s + t| - (n1-1)*|gamma - s + t|| < 3.  Surd rules: the
-    same differences squared equal delta or 4*delta for a square-free
-    delta, checked exactly.  Returns (nonperiodic, rule token, witness).
+    0 < ||2*r1 - s + t| - (n1-1)*|gamma - s + t|| < 3.  (The differences
+    are integers, and an integer d has d^2 in {delta, 4*delta} with
+    square-free delta only for d in {1, 2}, so no surd variant of these
+    rules can add a refutation.)  Returns (nonperiodic, rule token,
+    witness).
     """
     ints = _integral_support(base_support)
     if ints is None:
@@ -388,24 +395,7 @@ def support_gap_refutation(params: CoronaParams, base_support):
         if 0 < d < 3:
             return True, "close-top-ratio", gamma
 
-    for lam in rest:
-        for mu in rest:
-            if lam == mu:
-                continue
-            d = gaps[lam] - gaps[mu]
-            if d > 0 and _is_surd_or_double(d):
-                return True, "surd-gap-pair", (lam, mu)
-    for gamma in rest:
-        d = abs(top_gap - (params.n1 - 1) * gaps[gamma])
-        if d > 0 and _is_surd_or_double(d):
-            return True, "surd-top-ratio", gamma
     return False, None, None
-
-
-def _is_surd_or_double(d: int) -> bool:
-    # d^2 in {delta, 4*delta} with delta square-free, i.e. square part 1 or 2
-    root, _ = square_free_part(d * d)
-    return root in (1, 2)
 
 
 def _is_prime(n: int) -> bool:
@@ -487,23 +477,69 @@ def pst_certify(
     """
     flag, signs = strong_cospectrality(dec, u, v, tol)
     if not flag:
-        witness = [th for th, sg in zip(dec.eigenvalues, signs) if sg == 0]
-        return PSTReport(
-            u=u,
-            v=v,
-            verdict=NO_PST,
-            basis="not-strongly-cospectral",
-            strongly_cospectral=False,
-            refutation_witness=witness,
-        )
-
+        return _not_strongly_cospectral(u, v, dec.eigenvalues, signs)
     supported = [(th, sg) for th, sg in zip(dec.eigenvalues, signs) if sg != 0]
+    return _certify_support(u, v, supported, recognition_tol)
+
+
+def corona_pst_certify(
+    spectrum: CoronaSpectrum,
+    u: int,
+    v: int,
+    tol: float = 1e-8,
+) -> PSTReport:
+    """Decide perfect transfer between corona base vertices in closed form.
+
+    Same chain as `pst_certify`, fed by `CoronaSpectrum.base_signs` instead
+    of dense corona projectors, so the cost is that of the factor
+    decompositions.  Exact values skip recognition.  Float values (from
+    non-integral base eigenvalues) are never merged by tolerance: two
+    supported values within tol of each other, one of them a float, give
+    undecided-numeric.  So tol bounds both the projector entries matched
+    by `strong_cospectrality` and the eigenvalue gap below which two
+    supported values count as an unresolved coincidence.
+    """
+    flag, values, signs = spectrum.base_signs(u, v, tol)
+    if not flag:
+        return _not_strongly_cospectral(u, v, [float(x) for x in values], signs)
+    supported = [(x, sg) for x, sg in zip(values, signs) if sg != 0]
+    for (x, _), (y, _) in zip(supported, supported[1:]):
+        exact = isinstance(x, QuadExt) and isinstance(y, QuadExt)
+        if not exact and float(x) - float(y) <= tol:
+            return PSTReport(
+                u=u,
+                v=v,
+                verdict=UNDECIDED,
+                basis="unresolved-coincidence",
+                strongly_cospectral=True,
+                support=tuple(float(w) for w, _ in supported),
+                refutation_witness=[float(x), float(y)],
+            )
+    return _certify_support(u, v, supported, DEFAULT_RECOGNITION_TOL)
+
+
+def _not_strongly_cospectral(u, v, eigenvalues, signs) -> PSTReport:
+    return PSTReport(
+        u=u,
+        v=v,
+        verdict=NO_PST,
+        basis="not-strongly-cospectral",
+        strongly_cospectral=False,
+        refutation_witness=[th for th, sg in zip(eigenvalues, signs) if sg == 0],
+    )
+
+
+def _certify_support(u, v, supported, recognition_tol) -> PSTReport:
+    """Exact tail shared by both certifiers, on (eigenvalue, sign) pairs.
+
+    Recognition (QuadExt values pass through), the common half-integer
+    form, the parity classification against the measured signs, and on
+    success tau0 = pi/(g*sqrt(delta)) with arrival amplitude
+    sigma * exp(-i*tau0*theta0) as the phase.
+    """
     exact = []
     for th, _ in supported:
-        try:
-            e = recognize_quadext(th, tolerance=recognition_tol)
-        except AmbiguousMatchError:
-            e = None
+        e = _coerce_exact(th, recognition_tol)
         if e is None:
             return PSTReport(
                 u=u,
@@ -511,8 +547,8 @@ def pst_certify(
                 verdict=UNDECIDED,
                 basis="unrecognized-eigenvalues",
                 strongly_cospectral=True,
-                support=tuple(th for th, _ in supported),
-                refutation_witness=th,
+                support=tuple(float(w) for w, _ in supported),
+                refutation_witness=float(th),
             )
         exact.append(e)
 
@@ -642,7 +678,8 @@ def pgst_time_search(
     perfect transfer at pi/g with delta = 1; the top pair gap is an
     irrational surd.  The scan then runs over T_l = (4l + 2/g)*pi.  For
     bases on three or more vertices every pair gap below the top must also
-    be irrational, and that claim is asserted.
+    be irrational; a rational one raises ValueError like any other unmet
+    precondition.
     """
     if params.r2 != 0:
         raise ValueError(
@@ -673,9 +710,10 @@ def pgst_time_search(
                 continue
             d = pair_radicand(params, int(r))
             if is_perfect_square(d):
-                raise AssertionError(
+                raise ValueError(
                     f"pair gap sqrt({d}) at base eigenvalue {int(r)} is rational; "
-                    f"expected irrational for a base on {params.n1} >= 3 vertices"
+                    "the search guarantee requires every pair gap of a base on "
+                    f"{params.n1} >= 3 vertices to be irrational"
                 )
 
     best_l, time, fid, achieved = pgst_scan(
@@ -780,8 +818,11 @@ def corona_base_pst_check(
 
     Cheap exact refutations run first on the base supports: the size
     bound, the two-vertex-base rules, the gap rules, then the periodicity
-    split.  Only if all of those pass (or do not apply) is the corona
-    assembled and handed to the numeric certifier.
+    split.  Only if all of those pass (or do not apply) is H decomposed and
+    the closed-form spectrum handed to `corona_pst_certify`.  No matrix
+    larger than max(n1, n2) is built; the dense corona is a test oracle.
+    tol is passed on to the certifier, where it also acts as the
+    eigenvalue separation threshold for float-valued support.
     """
     params = CoronaParams.from_graphs(g, h)
     if u == v or not (0 <= u < params.n1 and 0 <= v < params.n1):
@@ -847,5 +888,5 @@ def corona_base_pst_check(
                     },
                 )
 
-    cdec = decompose(corona_full_q(g, h), cluster_tol)
-    return pst_certify(cdec, u, v, tol)
+    hdec = decompose(signless_laplacian(h), cluster_tol)
+    return corona_pst_certify(corona_spectrum(gdec, hdec, params), u, v, tol)

@@ -3,10 +3,15 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import qwcorona
 from qwcorona.algebraic import QuadExt
 from qwcorona.cli import (
     RunConfig,
@@ -328,6 +333,33 @@ def test_search_pgst_heuristic_fallback(capsys):
     assert out["mode"] == "heuristic"
     assert out["achieved"] is False
     assert "note" in out
+
+
+def test_search_pgst_rational_pair_gap_falls_back(capsys):
+    # bipartite base, one-vertex attachment: the theta = 0 pair radicand is 4
+    out = run_json(
+        capsys, ["search-pgst", "corona(HQ:3,K:1)", "0", "7", "--l-bound", "50"]
+    )
+    assert out["mode"] == "heuristic"
+    assert out["basis"] == "heuristic-search"
+    assert "sqrt(4)" in out["note"]
+
+
+def test_python_dash_m_runs_the_cli():
+    # antipodal cycle pair: strongly cospectral, support outside the
+    # quadratic lattice, so undecided with exit code 3
+    src = Path(qwcorona.__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(src) + os.pathsep + env.get("PYTHONPATH", "")
+    proc = subprocess.run(
+        [sys.executable, "-m", "qwcorona", "check-pst", "corona(C:30,C:15)", "base:0", "base:15"],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert proc.returncode == 3, proc.stderr
+    assert '"strongly_cospectral": true' in proc.stdout
 
 
 def test_search_pgst_needs_base_vertices(capsys):

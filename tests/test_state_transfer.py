@@ -427,7 +427,7 @@ def test_orchestrator_k2_coronas():
 
 
 def test_orchestrator_k3_c4_reaches_certifier():
-    # both endpoints periodic, so the full corona is assembled; the pair
+    # both endpoints periodic, so the closed-form certifier runs; the pair
     # still fails strong cospectrality
     rep = corona_base_pst_check(complete_graph(3), cycle_graph(4), 0, 1)
     assert rep.verdict == NO_PST
