@@ -3,7 +3,8 @@
 Eigenvalues handled here are either integers or numbers of the form
 (a + b*sqrt(delta))/2 with integers a, b and square-free delta.  The module
 provides the canonical container ``QuadExt``, square-free factorization,
-recognition of floats as exact values, and the gap/parity classification
+recognition of floats as exact values (``as_exact`` is the one entry
+point the rest of the package uses), and the gap/parity classification
 that drives state transfer certification.
 """
 from __future__ import annotations
@@ -13,10 +14,14 @@ import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
+import numpy as np
+
 DEFAULT_FACTOR_CEILING = 10_000_000
 DEFAULT_RECOGNITION_TOL = 1e-9
 DEFAULT_DELTA_BOUND = 10_000
 DEFAULT_COEFF_BOUND = 1_000_000
+# candidates evaluated at once by recognize_quadext's sweep
+_SWEEP_BLOCK = 1 << 13
 
 
 class AmbiguousMatchError(ValueError):
@@ -25,6 +30,10 @@ class AmbiguousMatchError(ValueError):
 
 class InvalidSupportError(ValueError):
     """Eigenvalue support does not fit one shared half-integer quadratic form."""
+
+
+class InternalInvariantError(RuntimeError):
+    """An internal consistency check failed: a bug, not bad input."""
 
 
 def is_perfect_square(n: int) -> bool:
@@ -74,16 +83,18 @@ def square_free_part(n: int, ceiling: int = DEFAULT_FACTOR_CEILING) -> tuple[int
 
 
 @lru_cache(maxsize=8)
-def _square_free_sieve(bound: int) -> tuple[int, ...]:
-    """Square-free integers in [2, bound], ascending."""
-    flags = bytearray([1]) * (bound + 1)
-    p = 2
-    while p * p <= bound:
-        step = p * p
-        for k in range(step, bound + 1, step):
-            flags[k] = 0
-        p += 1
-    return tuple(k for k in range(2, bound + 1) if flags[k])
+def _square_free_table(bound: int) -> tuple[np.ndarray, np.ndarray]:
+    """Square-free integers in [2, bound], ascending, and their square roots."""
+    n = max(bound, 1)
+    flags = np.ones(n + 1, dtype=bool)
+    flags[:2] = False
+    for p in range(2, math.isqrt(n) + 1):
+        flags[p * p :: p * p] = False
+    deltas = np.flatnonzero(flags)
+    roots = np.sqrt(deltas.astype(np.float64))
+    deltas.setflags(write=False)
+    roots.setflags(write=False)
+    return deltas, roots
 
 
 @dataclass(frozen=True)
@@ -215,12 +226,24 @@ def recognize_quadext(
     """Map a float to the unique nearby exact value (a + b*sqrt(delta))/2.
 
     Integers and half-integers (b = 0) are recognized first and
-    short-circuit.  Quadratic candidates are scanned over square-free
-    delta <= delta_bound with |b|*sqrt(delta) limited to magnitudes
-    comparable to |x|, so that values with no small exact form (pi, say)
-    fall through to None instead of hitting an accidental combination
-    with huge coefficients.  Two distinct surviving candidates raise
-    AmbiguousMatchError rather than picking one.
+    short-circuit.  Quadratic candidates range over square-free
+    delta <= delta_bound and 0 < |b| <= min(coeff_bound,
+    int((2|x| + 4)/sqrt(delta)) + 2), so that values with no small exact
+    form (pi, say) fall through to None instead of hitting an accidental
+    combination with huge coefficients.  Each candidate takes
+    a = round(2x - b*sqrt(delta)) and is accepted when |a| <= coeff_bound
+    and |x - (a + b*sqrt(delta))/2| <= tolerance.
+
+    The caps never grow with delta, so the sweep runs over |b| and
+    evaluates +b and -b with numpy on the prefix of the cached delta table
+    whose caps allow |b| (searchsorted on the caps).  Where prefixes are
+    short, consecutive |b| share one block of about _SWEEP_BLOCK
+    candidates, each still held to its own cap, so memory is O(#delta)
+    per step whatever |x| is; no (delta, b) table is built.  The float
+    operations are those of a scalar loop over (delta, b), and rint rounds
+    half to even like round, so the results are the same.  Two distinct
+    surviving candidates raise AmbiguousMatchError, listed in (delta, b)
+    order.
     """
     if tolerance <= 0:
         raise ValueError("tolerance must be positive")
@@ -228,28 +251,59 @@ def recognize_quadext(
     a0 = round(2 * x)
     if abs(x - a0 / 2.0) <= tolerance and abs(a0) <= coeff_bound:
         return QuadExt(a0, 0, 1)
-    matches: list[QuadExt] = []
-    for delta in _square_free_sieve(delta_bound):
-        root = math.sqrt(delta)
-        b_cap = min(coeff_bound, int((2 * abs(x) + 4) / root) + 2)
-        for b in range(-b_cap, b_cap + 1):
-            if b == 0:
-                continue
-            a = round(2 * x - b * root)
-            if abs(a) > coeff_bound:
-                continue
-            if abs(x - (a + b * root) / 2.0) <= tolerance:
-                cand = QuadExt(a, b, delta)
-                if cand not in matches:
-                    matches.append(cand)
-    if not matches:
+    deltas, roots = _square_free_table(delta_bound)
+    if not deltas.size:
         return None
+    two_x = 2 * x
+    # min(coeff_bound, int(q) + 2), exact in float while the caps stay small
+    caps = np.minimum(np.floor((2 * abs(x) + 4) / roots), coeff_bound - 2) + 2
+    top = int(caps[0])
+    # prefix[b - 1] = number of deltas whose cap allows |b|
+    prefix = np.searchsorted(-caps, -np.arange(1, top + 1), side="right")
+    hits: list[tuple[int, int, int]] = []
+    b = 1
+    while b <= top:
+        m = int(prefix[b - 1])
+        rows = np.arange(b, min(b + max(1, _SWEEP_BLOCK // m), top + 1))
+        b += rows.size
+        br = rows.astype(np.float64)[:, None] * roots[:m]
+        # -b gives a = round(2x + b*r) and the value (a - b*r)/2, bit for bit
+        for sign, a in ((-1, two_x + br), (1, two_x - br)):
+            np.rint(a, out=a)
+            err = a - br if sign < 0 else a + br
+            err /= 2.0
+            np.subtract(x, err, out=err)
+            # the cap and coefficient tests only run on the rare survivors
+            for i, j in zip(*np.nonzero(np.abs(err, out=err) <= tolerance)):
+                if caps[j] >= rows[i] and abs(a[i, j]) <= coeff_bound:
+                    hits.append((int(deltas[j]), sign * int(rows[i]), int(a[i, j])))
+    if not hits:
+        return None
+    hits.sort()
+    matches = [QuadExt(a, b, delta) for delta, b, a in hits]
     if len(matches) > 1:
         listing = ", ".join(str(m) for m in matches)
         raise AmbiguousMatchError(
             f"{x!r} matches {len(matches)} exact candidates within {tolerance}: {listing}"
         )
     return matches[0]
+
+
+def as_exact(x, tolerance: float = DEFAULT_RECOGNITION_TOL) -> QuadExt | None:
+    """The exact value of an eigenvalue, or None when it has no unique form.
+
+    A QuadExt passes through, an integer goes through `QuadExt.from_int`,
+    and a float goes to `recognize_quadext`, whose AmbiguousMatchError
+    becomes None.
+    """
+    if isinstance(x, QuadExt):
+        return x
+    if isinstance(x, (int, np.integer)):
+        return QuadExt.from_int(int(x))
+    try:
+        return recognize_quadext(float(x), tolerance=tolerance)
+    except AmbiguousMatchError:
+        return None
 
 
 @dataclass(frozen=True)

@@ -4,7 +4,7 @@ Output is machine-readable and reproducible: JSON by default (floats
 rendered with 12 significant digits, byte-identical across runs), CSV for
 grid data.  Exit codes: 0 when a verdict was produced (a negative verdict
 included), 2 on parse or precondition errors, 3 when the answer is
-undecided-numeric.
+undecided-numeric, 4 when an internal invariant fails (a bug).
 """
 from __future__ import annotations
 
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebraic import QuadExt, recognize_quadext, AmbiguousMatchError
+from .algebraic import InternalInvariantError, QuadExt, as_exact
 from .corona_spectra import CoronaParams, corona_full_q, corona_spectrum
 from .graphs import (
     Graph,
@@ -248,14 +248,6 @@ def _value_json(v):
     return {"approx": float(v)}
 
 
-def _recognized(x: float, tolerance: float):
-    try:
-        e = recognize_quadext(x, tolerance=tolerance)
-    except AmbiguousMatchError:
-        return None
-    return e
-
-
 # ---------------------------------------------------------------------------
 # commands
 
@@ -270,7 +262,7 @@ def cmd_spectrum(args, cfg: RunConfig) -> tuple:
         return "\n".join(lines), 0
     rows = []
     for val, mult in zip(dec.eigenvalues, dec.multiplicities):
-        exact = _recognized(val, cfg.tolerance)
+        exact = as_exact(val, cfg.tolerance)
         rows.append(
             {
                 "value": _value_json(exact if exact is not None else val),
@@ -570,9 +562,12 @@ def main(argv=None) -> int:
     try:
         cfg = build_config(args)
         payload, code = args.handler(args, cfg)
-    except (ValueError, OSError, AssertionError) as err:
+    except (ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
+    except InternalInvariantError as err:
+        print(f"internal error: {err}", file=sys.stderr)
+        return 4
     print(payload)
     return code
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebraic import QuadExt, square_free_part
+from .algebraic import InternalInvariantError, QuadExt, square_free_part
 from .graphs import Graph, is_connected, regular_degree, signless_laplacian
 from .spectra import SpectralDecomposition, strong_cospectrality
 
@@ -344,7 +344,7 @@ def corona_spectrum(
     total = sum(e.multiplicity for e in entries)
     expect = n1 * (1 + params.n2)
     if total != expect:
-        raise AssertionError(f"multiplicities sum to {total}, expected {expect}")
+        raise InternalInvariantError(f"multiplicities sum to {total}, expected {expect}")
     return CoronaSpectrum(params=params, entries=tuple(entries), gdec=gdec, hdec=hdec)
 
 

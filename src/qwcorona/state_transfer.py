@@ -25,12 +25,13 @@ import numpy as np
 
 from .algebraic import (
     DEFAULT_RECOGNITION_TOL,
-    AmbiguousMatchError,
+    InternalInvariantError,
     InvalidSupportError,
     QuadExt,
+    as_exact,
     classify_support,
+    common_half_form,
     is_perfect_square,
-    recognize_quadext,
     square_free_part,
 )
 from .corona_spectra import (
@@ -174,18 +175,6 @@ class K2CoronaVerdict:
 # periodicity
 
 
-def _coerce_exact(x, tolerance: float = DEFAULT_RECOGNITION_TOL):
-    """QuadExt for ints, QuadExts, and recognizable floats; None otherwise."""
-    if isinstance(x, QuadExt):
-        return x
-    if isinstance(x, (int, np.integer)):
-        return QuadExt.from_int(int(x))
-    try:
-        return recognize_quadext(float(x), tolerance=tolerance)
-    except AmbiguousMatchError:
-        return None
-
-
 def is_periodic_vertex(support, vertex=None) -> PeriodicityReport:
     """Decide periodicity from the eigenvalue support alone.
 
@@ -196,7 +185,7 @@ def is_periodic_vertex(support, vertex=None) -> PeriodicityReport:
         raise ValueError("periodicity needs a nonempty support")
     exact = []
     for x in support:
-        e = _coerce_exact(x)
+        e = as_exact(x)
         if e is None:
             return PeriodicityReport(
                 vertex=vertex,
@@ -207,7 +196,7 @@ def is_periodic_vertex(support, vertex=None) -> PeriodicityReport:
             )
         exact.append(e)
     try:
-        _, delta, _ = _common_form(exact)
+        _, delta, _ = common_half_form(exact)
     except InvalidSupportError as err:
         return PeriodicityReport(
             vertex=vertex,
@@ -227,12 +216,6 @@ def is_periodic_vertex(support, vertex=None) -> PeriodicityReport:
         basis="common-surd-support",
         delta=delta,
     )
-
-
-def _common_form(exact):
-    from .algebraic import common_half_form
-
-    return common_half_form(exact)
 
 
 def _integral_support(support):
@@ -285,7 +268,10 @@ def corona_base_periodicity(
                     basis="surd-multiple-violation",
                     witness=x,
                 )
-            assert params.n2 % delta_star == 0
+            if params.n2 % delta_star:
+                raise InternalInvariantError(
+                    f"square-free part {delta_star} does not divide n2 = {params.n2}"
+                )
             return PeriodicityReport(
                 vertex=vertex,
                 periodic=True,
@@ -438,7 +424,10 @@ def k2_corona_no_pst(n2: int, r2: int) -> K2CoronaVerdict:
         d0 = x * x + 4 * n2
         d2 = (x + 2) ** 2 + 4 * n2
         bad = [d for d in (d0, d2) if not is_perfect_square(d)]
-        assert bad, "both pair radicands are squares; impossible for odd prime order"
+        if not bad:
+            raise InternalInvariantError(
+                "both pair radicands are squares; impossible for odd prime order"
+            )
         return K2CoronaVerdict(
             n2=n2,
             r2=r2,
@@ -539,7 +528,7 @@ def _certify_support(u, v, supported, recognition_tol) -> PSTReport:
     """
     exact = []
     for th, _ in supported:
-        e = _coerce_exact(th, recognition_tol)
+        e = as_exact(th, recognition_tol)
         if e is None:
             return PSTReport(
                 u=u,

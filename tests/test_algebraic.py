@@ -2,13 +2,17 @@
 from __future__ import annotations
 
 import math
+import random
+from functools import lru_cache
 
+import numpy as np
 import pytest
 
 from qwcorona.algebraic import (
     AmbiguousMatchError,
     InvalidSupportError,
     QuadExt,
+    as_exact,
     classify_support,
     common_half_form,
     is_perfect_square,
@@ -168,6 +172,146 @@ def test_recognize_respects_tolerance():
     assert recognize_quadext(x, tolerance=1e-9) is None
     # restricting the surd search space removes the far-fetched candidates
     assert recognize_quadext(x, tolerance=1e-5, delta_bound=50) == QuadExt(0, 2, 2)
+
+
+def test_as_exact_routes_each_kind():
+    q = QuadExt(7, 3, 5)
+    assert as_exact(q) is q
+    assert as_exact(3) == QuadExt.from_int(3)
+    assert as_exact(np.int64(-2)) == QuadExt.from_int(-2)
+    assert as_exact(np.float64((7 + 3 * math.sqrt(5)) / 2)) == q
+    assert as_exact(math.pi) is None
+    # ambiguous at a loose tolerance: no unique form, so no exact value
+    assert as_exact(math.sqrt(2), tolerance=1e-5) is None
+
+
+# =========================================================================
+# recognition against the scalar loop it replaced
+# =========================================================================
+
+
+@lru_cache(maxsize=8)
+def _scalar_sieve(bound: int) -> tuple[int, ...]:
+    """Square-free integers in [2, bound], ascending."""
+    flags = bytearray([1]) * (bound + 1)
+    p = 2
+    while p * p <= bound:
+        step = p * p
+        for k in range(step, bound + 1, step):
+            flags[k] = 0
+        p += 1
+    return tuple(k for k in range(2, bound + 1) if flags[k])
+
+
+def _scalar_recognize(x, tolerance=1e-9, delta_bound=10_000, coeff_bound=1_000_000):
+    """The delta x b double loop that recognize_quadext vectorises."""
+    if tolerance <= 0:
+        raise ValueError("tolerance must be positive")
+    x = float(x)
+    a0 = round(2 * x)
+    if abs(x - a0 / 2.0) <= tolerance and abs(a0) <= coeff_bound:
+        return QuadExt(a0, 0, 1)
+    matches: list[QuadExt] = []
+    for delta in _scalar_sieve(delta_bound):
+        root = math.sqrt(delta)
+        b_cap = min(coeff_bound, int((2 * abs(x) + 4) / root) + 2)
+        for b in range(-b_cap, b_cap + 1):
+            if b == 0:
+                continue
+            a = round(2 * x - b * root)
+            if abs(a) > coeff_bound:
+                continue
+            if abs(x - (a + b * root) / 2.0) <= tolerance:
+                cand = QuadExt(a, b, delta)
+                if cand not in matches:
+                    matches.append(cand)
+    if not matches:
+        return None
+    if len(matches) > 1:
+        listing = ", ".join(str(m) for m in matches)
+        raise AmbiguousMatchError(
+            f"{x!r} matches {len(matches)} exact candidates within {tolerance}: {listing}"
+        )
+    return matches[0]
+
+
+def _outcome(fn, x, tolerance, **bounds):
+    try:
+        return fn(x, tolerance, **bounds)
+    except AmbiguousMatchError as err:
+        return f"ambiguous: {err}"
+
+
+def _cycle_q_values(n):
+    """Distinct signless Laplacian eigenvalues 2 + 2cos(2 pi k/n) of C_n."""
+    return [2 + 2 * math.cos(2 * math.pi * k / n) for k in range(n // 2 + 1)]
+
+
+@pytest.mark.parametrize("tolerance", [1e-9, 1e-6, 1e-3])
+def test_recognize_matches_scalar_loop(tolerance):
+    # delta_bound 1000 keeps the scalar loop cheap; the larger cycles are
+    # strided for the same reason
+    rng = random.Random(4)
+    values = _cycle_q_values(20) + _cycle_q_values(41)
+    values += _cycle_q_values(121)[::15] + _cycle_q_values(200)[::15]
+    values += [rng.uniform(-50, 500) for _ in range(4)] + [math.pi, math.e]
+    for x in values:
+        got = _outcome(recognize_quadext, x, tolerance, delta_bound=1000)
+        assert got == _outcome(_scalar_recognize, x, tolerance, delta_bound=1000), x
+
+
+@pytest.mark.parametrize(
+    "x, tolerance",
+    [
+        ((100 + 7 * math.sqrt(9973)) / 2, 1e-9),
+        ((100 + 7 * math.sqrt(9973)) / 2, 1e-3),
+        ((-3 + math.sqrt(9998)) / 2, 1e-9),
+        ((-3 + math.sqrt(9998)) / 2, 1e-6),
+        ((-3 + math.sqrt(9998)) / 2, 1e-3),
+    ],
+)
+def test_recognize_matches_scalar_loop_near_delta_bound(x, tolerance):
+    # delta near the default bound of 10 000 sits at the end of the table;
+    # at 1e-3 the hundreds of candidates must be listed in the same order
+    assert _outcome(recognize_quadext, x, tolerance) == _outcome(_scalar_recognize, x, tolerance)
+
+
+# 2cos(2 pi j/m) for every m whose cosines are rational or quadratic
+# (phi(m) <= 4), keyed by (m, min(j, m - j)) with gcd(j, m) = 1
+_SMALL_COSINES = {
+    (1, 0): QuadExt.from_int(2),
+    (2, 1): QuadExt.from_int(-2),
+    (3, 1): QuadExt.from_int(-1),
+    (4, 1): QuadExt.from_int(0),
+    (6, 1): QuadExt.from_int(1),
+    (5, 1): QuadExt(-1, 1, 5),
+    (5, 2): QuadExt(-1, -1, 5),
+    (8, 1): QuadExt(0, 2, 2),
+    (8, 3): QuadExt(0, -2, 2),
+    (10, 1): QuadExt(1, 1, 5),
+    (10, 3): QuadExt(1, -1, 5),
+    (12, 1): QuadExt(0, 2, 3),
+    (12, 5): QuadExt(0, -2, 3),
+}
+
+
+@pytest.mark.parametrize("n", [60, 120, 200])
+def test_recognize_cycle_spectra_match_cyclotomic_truth(n):
+    # 2 + 2cos(2 pi k/n) is quadratic exactly when k/n reduces to a
+    # denominator m with phi(m) <= 4; every other value must give None
+    for k in range(n // 2 + 1):
+        g = math.gcd(n, k)
+        m, j = n // g, k // g
+        cosine = _SMALL_COSINES.get((m, min(j, m - j)))
+        want = None if cosine is None else 2 + cosine
+        assert recognize_quadext(2 + 2 * math.cos(2 * math.pi * k / n)) == want, (n, k)
+
+
+def test_recognize_no_false_hits_near_500():
+    # 500 + cbrt(k) for non-cube k is cubic, never quadratic
+    ks = [k for k in range(2, 400) if round(k ** (1 / 3)) ** 3 != k][:300]
+    assert len(ks) == 300
+    assert [k for k in ks if recognize_quadext(500 + k ** (1 / 3)) is not None] == []
 
 
 # =========================================================================

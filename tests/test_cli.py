@@ -431,3 +431,14 @@ def test_bad_spec_exits_two(capsys):
 def test_missing_subcommand_exits_two(capsys):
     assert run(capsys, [])[0] == 2
     assert run(capsys, ["frobnicate"])[0] == 2
+
+
+def test_internal_invariant_exits_four(monkeypatch, capsys):
+    def broken(args, cfg):
+        raise qwcorona.InternalInvariantError("multiplicities sum to 3, expected 4")
+
+    monkeypatch.setattr("qwcorona.cli.cmd_spectrum", broken)
+    code, out, err = run(capsys, ["spectrum", "K:2"])
+    assert code == 4
+    assert out == ""
+    assert err.startswith("internal error:")

@@ -48,15 +48,10 @@ def _grid():
     for n1 in range(5, 31):
         for i, (family, orders) in enumerate(FAMILIES.items()):
             h = f"{family}:{orders[n1 % len(orders)]}"
-            pairs = []
-            # each family takes alternate runs of four bases, which still
-            # meet every attachment order it lists
-            if (n1 // 4 + i) % 2 == 0:
-                pairs.append((0, 1))
-                if n1 % 2:
-                    pairs.append((0, n1 // 2))
-            # antipodal pairs reach float recognition on both sides, the
-            # slow step, so each even cycle takes them on one family
+            pairs = [(0, 1)]
+            if n1 % 2:
+                pairs.append((0, n1 // 2))
+            # each even cycle takes its antipodal pair on one family
             if n1 % 2 == 0 and (n1 // 2) % 4 == i:
                 pairs.append((0, n1 // 2))
             cases += [(f"C:{n1}", h, u, v) for u, v in pairs]
@@ -104,6 +99,7 @@ def test_closed_form_certifier_matches_dense_oracle():
         ), label
         assert _same_support(got.support, want.support), label
         assert (got.delta, got.g, got.tau0) == (want.delta, want.g, want.tau0), label
+    assert len(cases) == 178
     assert merged < len(cases) // 4
 
 
