@@ -518,28 +518,24 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("spec")
     p.add_argument("--projectors", action="store_true")
     _add_config_flags(p)
-    p.set_defaults(handler=cmd_spectrum)
 
     p = sub.add_parser("corona-spectrum", help="closed form vs numeric oracle")
     p.add_argument("g_spec")
     p.add_argument("h_spec")
     p.add_argument("--materialize-projectors", action="store_true")
     _add_config_flags(p)
-    p.set_defaults(handler=cmd_corona_spectrum)
 
     p = sub.add_parser("check-pst", help="perfect transfer verdict for a vertex pair")
     p.add_argument("spec")
     p.add_argument("u")
     p.add_argument("v")
     _add_config_flags(p)
-    p.set_defaults(handler=cmd_check_pst)
 
     p = sub.add_parser("search-pgst", help="bounded search for near-perfect transfer")
     p.add_argument("spec")
     p.add_argument("u", nargs="?", default=None)
     p.add_argument("v", nargs="?", default=None)
     _add_config_flags(p)
-    p.set_defaults(handler=cmd_search_pgst)
 
     p = sub.add_parser("fidelity", help="amplitude at one time or over a grid")
     p.add_argument("spec")
@@ -548,20 +544,26 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tau", type=float, default=None)
     p.add_argument("--grid", default=None, help="start:stop:steps")
     _add_config_flags(p)
-    p.set_defaults(handler=cmd_fidelity)
 
     return parser
 
 
+_PARSER = None
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    global _PARSER
+    if _PARSER is None:
+        _PARSER = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    # looked up per call, so that the handlers can be replaced at run time
+    handler = globals()["cmd_" + args.command.replace("-", "_")]
     try:
         cfg = build_config(args)
-        payload, code = args.handler(args, cfg)
+        payload, code = handler(args, cfg)
     except (ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

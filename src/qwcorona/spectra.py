@@ -8,7 +8,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .graphs import (
     Graph,
@@ -220,6 +219,60 @@ def antipodal_identity_check(g: Graph, tol: float = DEFAULT_SUPPORT_TOL) -> bool
     return True
 
 
+# golden-section constants as in scipy.optimize's golden method
+_GOLDEN_R = 0.61803399
+_GOLDEN_C = 1.0 - _GOLDEN_R
+_GOLDEN_XTOL = 1.4901161193847656e-08  # sqrt of the double epsilon
+_GOLDEN_MAXITER = 5000
+
+
+def _golden(func, xa, xb, xc):
+    """Minimum of func by golden-section search inside the bracket xa < xb < xc.
+
+    Same steps, constants and stopping rule as scipy.optimize's golden
+    method, so results agree bit for bit.  Returns (x, func(x)); raises
+    ValueError unless func(xb) lies below both func(xa) and func(xc).
+    """
+    if xa > xc:
+        xa, xc = xc, xa
+    if not (xa < xb < xc):
+        raise ValueError("bracket points are not ordered xa < xb < xc")
+    fa, fb, fc = func(xa), func(xb), func(xc)
+    if not (fb < fa and fb < fc):
+        raise ValueError("bracket midpoint is not below both ends")
+    if abs(xc - xb) > abs(xb - xa):
+        return _golden_steps(func, xa, xb, xb + _GOLDEN_C * (xc - xb), xc)
+    return _golden_steps(func, xa, xb - _GOLDEN_C * (xb - xa), xb, xc)
+
+
+def _bounded_golden(func, lo, hi):
+    """Golden-section search on [lo, hi] that needs no bracket; it finds a
+    local minimum or closes in on an end.  Returns (x, func(x))."""
+    return _golden_steps(func, lo, lo + _GOLDEN_C * (hi - lo), lo + _GOLDEN_R * (hi - lo), hi)
+
+
+def _golden_steps(func, x0, x1, x2, x3):
+    """Shrink [x0, x3] around the interior points x1 < x2 until it is
+    narrower than the relative tolerance; the better of x1, x2 wins."""
+    f1, f2 = func(x1), func(x2)
+    for _ in range(_GOLDEN_MAXITER):
+        if abs(x3 - x0) <= _GOLDEN_XTOL * (abs(x1) + abs(x2)):
+            break
+        if f2 < f1:
+            x0 = x1
+            x1 = x2
+            x2 = _GOLDEN_R * x1 + _GOLDEN_C * x3
+            f1 = f2
+            f2 = func(x2)
+        else:
+            x3 = x2
+            x2 = x1
+            x1 = _GOLDEN_R * x2 + _GOLDEN_C * x0
+            f2 = f1
+            f1 = func(x1)
+    return (x1, f1) if f1 < f2 else (x2, f2)
+
+
 @dataclass(frozen=True)
 class FidelityScan:
     """Grid samples of |U(tau)_{uv}|^2 plus the refined running maximum."""
@@ -236,9 +289,10 @@ def fidelity_scan(
     """Sample |U(tau)_{uv}|^2 over tau in (0, t_max] and refine the maximum.
 
     The grid has `steps` uniform points ending at t_max.  Around the best
-    grid point the maximum is sharpened by a bracketed golden-section
-    search; the refined value is never below the grid value.  Ties on the
-    grid resolve to the smaller tau.
+    grid point the maximum is sharpened by a golden-section search,
+    bracketed by the two neighbours where they bracket it and bounded by
+    them otherwise; the refined value is never below the grid value.  Ties
+    on the grid resolve to the smaller tau.
     """
     if t_max <= 0:
         raise ValueError(f"t_max must be positive, got {t_max}")
@@ -262,11 +316,10 @@ def fidelity_scan(
 
     if hi > lo:
         try:
-            res = minimize_scalar(neg_fid, bracket=(lo, best_tau, hi), method="golden")
+            cand_tau, cand_fid = _golden(neg_fid, lo, best_tau, hi)
         except ValueError:
-            res = minimize_scalar(neg_fid, bounds=(lo, hi), method="bounded")
-        cand_tau = float(res.x)
-        cand_fid = float(-res.fun)
+            cand_tau, cand_fid = _bounded_golden(neg_fid, lo, hi)
+        cand_fid = -cand_fid
         if lo < cand_tau <= t_max and cand_fid > best_fid:
             best_tau, best_fid = cand_tau, cand_fid
 

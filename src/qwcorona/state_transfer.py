@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -37,8 +38,9 @@ from .algebraic import (
 from .corona_spectra import (
     CoronaParams,
     CoronaSpectrum,
+    _as_int,
+    _validate_base,
     corona_spectrum,
-    corona_transition_element,
     pair_radicand,
     top_radicand,
 )
@@ -57,6 +59,9 @@ UNDECIDED = "undecided-numeric"
 DEFAULT_EPSILON = 0.01
 DEFAULT_L_BOUND = 10**6
 SCAN_CHUNK = 8192
+# phases are carried as integer fractions of a turn, in units of 2^-64
+_TURN_BITS = 64
+_TURN = 1 << _TURN_BITS
 
 
 # ---------------------------------------------------------------------------
@@ -601,18 +606,93 @@ def _certify_support(u, v, supported, recognition_tol) -> PSTReport:
 # bounded time search
 
 
-def _chunked_scan(evaluate, times, ls, epsilon, best):
-    """Update (best_l, best_time, best_fid, hit) from one chunk of times."""
-    fids = np.abs(evaluate(times)) ** 2
+@dataclass(frozen=True)
+class _PhaseTerm:
+    """One term weight * exp(-i*tau*mu) of a base amplitude, with
+    mu = (p + sign*sqrt(d))/q held exactly.
+
+    An integral base eigenvalue gives the exact pair member (d its pair
+    radicand, q = 2); any other gives the binary fraction of its float
+    value (d = 0, sign = 0).  Both go through the same integer arithmetic.
+    """
+
+    weight: float
+    p: int
+    q: int
+    d: int = 0
+    sign: int = 0
+
+    def turns(self, r: Fraction) -> int:
+        """frac(r*mu) in units of 2^-64, within two units, for rational r >= 0."""
+        n, m = r.numerator, r.denominator
+        root = math.isqrt(n * n * self.d << 2 * _TURN_BITS)
+        return (((n * self.p) << _TURN_BITS) + self.sign * root) // (m * self.q) % _TURN
+
+
+def _phase_terms(gdec, params, u, v) -> list:
+    """The amplitude (u,0) -> (v,0) as exponential terms, two per base eigenvalue.
+
+    Same closed form as `corona_transition_element`: theta contributes
+    F_theta[u,v]*(1 +/- x/L)/2 at mu = (theta + s + t +/- L)/2, where
+    x = theta - s + t and L is the pair gap (the top gap at theta = 2*r1).
+    """
+    _validate_base(gdec, params, 1e-8)
+    s, t = params.s, params.t
+    terms = []
+    for idx, theta in enumerate(gdec.eigenvalues):
+        f = float(gdec.projectors[idx][u, v])
+        th = 2 * params.r1 if idx == 0 else _as_int(theta)
+        if th is None:
+            x = theta - s + t
+            lam = math.sqrt(x * x + 4 * params.n2)
+            members = [((theta + s + t + sg * lam) / 2.0).as_integer_ratio() for sg in (1, -1)]
+        else:
+            x = th - s + t
+            d = top_radicand(params) if idx == 0 else pair_radicand(params, th)
+            lam = math.sqrt(d)
+            members = [(th + s + t, 2, d, sg) for sg in (1, -1)]
+        for sg, mu in zip((1, -1), members):
+            terms.append(_PhaseTerm(f * (1 + sg * x / lam) / 2, *mu))
+    return terms
+
+
+def _unit_phases(turns) -> np.ndarray:
+    """exp(-2*pi*i*k/2^64) for 64-bit turn counts k, taken as signed."""
+    signed = np.asarray(turns, dtype=np.uint64).view(np.int64)
+    return np.exp(-1j * (signed * (2 * math.pi / _TURN)))
+
+
+def _exact_phase_scan(terms, step, offset, time_of, epsilon, l_start, l_bound):
+    """The PGST scan over tau_l = 2*pi*(step*l + offset), l in [l_start, l_bound].
+
+    The table W[j, k] = exp(-2*pi*i*frac(k*step*mu_j)), k < SCAN_CHUNK, is
+    built once from 64-bit turns wrapping mod 2^64, so entry k is off by
+    at most 2k units of 2^-64 turns.  Each chunk from lo on then takes one
+    exact integer phase frac((step*lo + offset)*mu_j) per term and one
+    vector-matrix product, and no error carries over from chunk to chunk.
+    Stops at the first l whose fidelity reaches 1 - epsilon; otherwise
+    reports the global maximum with ties resolved to the smaller l.
+    Returns (best_l, time_of(best_l), fidelity, achieved).
+    """
+    weights = np.array([term.weight for term in terms])
+    ks = np.arange(min(SCAN_CHUNK, l_bound - l_start + 1), dtype=np.uint64)
+    per_step = np.array([term.turns(step) for term in terms], dtype=np.uint64)
+    table = _unit_phases(per_step[:, None] * ks)
     threshold = 1.0 - epsilon
-    hits = np.nonzero(fids >= threshold)[0]
-    if hits.size:
-        k = int(hits[0])
-        return int(ls[k]), float(times[k]), float(fids[k]), True
-    k = int(np.argmax(fids))
-    if best is None or fids[k] > best[2]:
-        best = (int(ls[k]), float(times[k]), float(fids[k]))
-    return best[0], best[1], best[2], False
+    best_l, best_fid = l_start, -1.0
+    for lo in range(l_start, l_bound + 1, SCAN_CHUNK):
+        start = step * lo + offset
+        coeffs = weights * _unit_phases([term.turns(start) for term in terms])
+        amps = coeffs @ table[:, : l_bound + 1 - lo]
+        fids = amps.real**2
+        fids += amps.imag**2
+        k = int(np.argmax(fids))
+        if fids[k] >= threshold:
+            k = int(np.argmax(fids >= threshold))
+            return lo + k, time_of(lo + k), float(fids[k]), True
+        if fids[k] > best_fid:
+            best_l, best_fid = lo + k, float(fids[k])
+    return best_l, time_of(best_l), best_fid, False
 
 
 def pgst_scan(
@@ -624,33 +704,35 @@ def pgst_scan(
     l_bound: int,
     g: int,
     l_start: int = 0,
-    chunk: int = SCAN_CHUNK,
 ):
     """Scan T_l = (4l + 2/g)*pi for l in [l_start, l_bound] on base fidelity.
 
     Stops at the first l whose fidelity reaches 1 - epsilon; otherwise
     reports the global maximum with ties resolved to the smaller l.
-    Returns (best_l, time, fidelity, achieved).
+    Returns (best_l, time, fidelity, achieved), time being the float
+    (4.0*l + 2.0/g)*pi.
+
+    The fidelity is that at the exact T_l.  Phases are exact integer
+    fractions of a turn, so its error does not grow with l: about 1e-15
+    when every base eigenvalue is integral, at l = 10^12 as at l = 1.  A
+    non-integral eigenvalue enters as its float value, whose rounding
+    (about 1e-15 relative) then shifts the phase by that much times T_l.
     """
     if epsilon <= 0 or epsilon > 1:
         raise ValueError(f"epsilon must lie in (0, 1], got {epsilon}")
+    if l_start < 0:
+        raise ValueError(f"l_start must be non-negative, got {l_start}")
     if l_bound < l_start:
         raise ValueError(f"l_bound {l_bound} below start {l_start}")
-    best = None
-    for lo in range(l_start, l_bound + 1, chunk):
-        ls = np.arange(lo, min(lo + chunk, l_bound + 1))
-        times = (4.0 * ls + 2.0 / g) * math.pi
-        b_l, b_t, b_f, hit = _chunked_scan(
-            lambda ts: corona_transition_element(gdec, params, u, v, ts),
-            times,
-            ls,
-            epsilon,
-            best,
-        )
-        best = (b_l, b_t, b_f)
-        if hit:
-            return b_l, b_t, b_f, True
-    return best[0], best[1], best[2], False
+    return _exact_phase_scan(
+        _phase_terms(gdec, params, u, v),
+        Fraction(2),
+        Fraction(1, g),
+        lambda l: (4.0 * l + 2.0 / g) * math.pi,
+        epsilon,
+        l_start,
+        l_bound,
+    )
 
 
 def pgst_time_search(
@@ -667,8 +749,8 @@ def pgst_time_search(
     perfect transfer at pi/g with delta = 1; the top pair gap is an
     irrational surd.  The scan then runs over T_l = (4l + 2/g)*pi.  For
     bases on three or more vertices every pair gap below the top must also
-    be irrational; a rational one raises ValueError like any other unmet
-    precondition.
+    be irrational; on the two-vertex base K2 the rational gap n2 + 1 must
+    be a multiple of g.  An unmet precondition raises ValueError.
     """
     if params.r2 != 0:
         raise ValueError(
@@ -704,6 +786,15 @@ def pgst_time_search(
                     "the search guarantee requires every pair gap of a base on "
                     f"{params.n1} >= 3 vertices to be irrational"
                 )
+    if params.n1 == 2:
+        # K2 base: the theta = 0 gap is n2 + 1, and cos(gap*T_l/2) is +/-1
+        # at every l only when g divides it
+        gap = math.isqrt(pair_radicand(params, 0))
+        if gap % base.g:
+            raise ValueError(
+                f"pair gap {gap} at base eigenvalue 0 is not a multiple of g = {base.g}; "
+                "the search guarantee on a two-vertex base requires it"
+            )
 
     best_l, time, fid, achieved = pgst_scan(
         gdec, params, u, v, epsilon, l_bound, base.g
@@ -760,34 +851,25 @@ def pgst_cocktail(
     g = cocktail_party_graph(m)
     gdec = decompose(signless_laplacian(g))
     params = CoronaParams(n1=2 * m, n2=1, r1=2 * m - 2, r2=0)
-    u, v = 0, 1
-
-    best = None
-    for lo in range(1, l_bound + 1, SCAN_CHUNK):
-        ls = np.arange(lo, min(lo + SCAN_CHUNK, l_bound + 1))
-        times = 2.0 * math.pi * ls
-        b_l, b_t, b_f, hit = _chunked_scan(
-            lambda ts: corona_transition_element(gdec, params, u, v, ts),
-            times,
-            ls,
-            epsilon,
-            best,
-        )
-        best = (b_l, b_t, b_f)
-        if hit:
-            break
-    else:
-        hit = False
+    best_l, time, fid, achieved = _exact_phase_scan(
+        _phase_terms(gdec, params, 0, 1),
+        Fraction(1),
+        Fraction(0),
+        lambda l: 2.0 * math.pi * l,
+        epsilon,
+        1,
+        l_bound,
+    )
     return PGSTSearchResult(
-        u=u,
-        v=v,
+        u=0,
+        v=1,
         target_epsilon=epsilon,
         l_bound=l_bound,
-        achieved=hit,
+        achieved=achieved,
         basis=basis,
-        best_l=best[0],
-        time=best[1],
-        fidelity=best[2],
+        best_l=best_l,
+        time=time,
+        fidelity=fid,
     )
 
 

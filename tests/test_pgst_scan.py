@@ -1,0 +1,304 @@
+"""Tests for the exact-phase PGST scan and for the golden-section refinement."""
+from __future__ import annotations
+
+import math
+import random
+
+import mpmath
+import numpy as np
+import pytest
+from scipy.optimize import minimize_scalar
+
+from qwcorona import cli
+from qwcorona.corona_spectra import CoronaParams, corona_full_q, corona_transition_element
+from qwcorona.graphs import generate, signless_laplacian
+from qwcorona.spectra import (
+    _bounded_golden,
+    _golden,
+    decompose,
+    fidelity_scan,
+    transition_amplitude,
+)
+from qwcorona.state_transfer import (
+    PST,
+    pgst_cocktail,
+    pgst_scan,
+    pgst_time_search,
+    pst_certify,
+)
+
+
+def corona_of(base: str, att: str):
+    g, h = generate(base), generate(att)
+    return g, h, decompose(signless_laplacian(g)), CoronaParams.from_graphs(g, h)
+
+
+def fidelity_at(gdec, params, u, v, l, g):
+    """Scan fidelity at the single grid time T_l, with the float time."""
+    _, time, fid, _ = pgst_scan(gdec, params, u, v, 1e-300, l, g, l_start=l)
+    return time, fid
+
+
+# =========================================================================
+# the 15 benchmark searches at l_bound = 10^6, as the float-time scan
+# found them: (base, attachment order, epsilon, u, v, best_l, achieved, time)
+# =========================================================================
+
+PINNED = (
+    ("K:2", 5, 1e-4, 0, 1, 82, True, 1033.583983031042),
+    ("HQ:4", 2, 1e-2, 0, 15, 268699, True, 3376574.359300349),
+    ("CP:2", 4, 1e-4, 0, 1, 256361, False, 3221530.4786603856),
+    ("CP:2", 6, 1e-4, 0, 1, 24082, False, 302626.4787276512),
+    ("CP:4", 1, 1e-4, 0, 1, 732274, False, 9202029.616851902),
+    ("CP:4", 8, 1e-4, 0, 1, 672431, True, 8450020.300176807),
+    ("CP:6", 1, 1e-4, 0, 1, 783719, True, 9848506.55310761),
+    ("CP:6", 2, 1e-4, 0, 1, 770961, True, 9688184.796809616),
+    ("CP:6", 4, 1e-4, 0, 1, 548974, True, 6898613.883239866),
+    ("CP:8", 3, 1e-4, 0, 1, 410784, True, 5162067.128041572),
+    ("HQ:3", 3, 1e-4, 0, 7, 847454, False, 10649424.184213791),
+    ("HQ:3", 6, 1e-3, 0, 7, 548146, True, 6888208.928371176),
+    ("HQ:4", 7, 1e-3, 0, 15, 335150, True, 4211622.252995131),
+    ("cocktail", 5, 1e-4, 0, 1, 990694, False, 6224713.984710973),
+    ("cocktail", 9, 1e-4, 0, 1, 808791, False, 5081783.727779085),
+)
+
+
+@pytest.mark.parametrize("case", PINNED, ids=lambda c: f"{c[0]}~{c[1]}")
+def test_pinned_searches_unchanged(case):
+    base, n2, eps, u, v, best_l, achieved, time = case
+    if base == "cocktail":
+        res = pgst_cocktail(n2, eps, 10**6)
+    else:
+        _, _, gdec, params = corona_of(base, f"empty:{n2}")
+        res = pgst_time_search(gdec, params, u, v, eps, 10**6)
+    assert (res.best_l, res.achieved, res.time) == (best_l, achieved, time)
+
+
+# =========================================================================
+# accuracy at the exact grid times
+# =========================================================================
+
+
+@pytest.mark.parametrize(
+    "base,att,u,v", [("CP:4", "empty:1", 0, 1), ("HQ:3", "empty:3", 0, 7)]
+)
+def test_fidelity_matches_mpmath_at_exact_grid_times(base, att, u, v):
+    g, h, gdec, params = corona_of(base, att)
+    cert = pst_certify(gdec, u, v)
+    assert cert.verdict == PST and cert.g == 2
+    with mpmath.workdps(40):
+        evals, evecs = mpmath.eigsy(mpmath.matrix(corona_full_q(g, h).tolist()))
+        weights = [evecs[u, k] * evecs[v, k] for k in range(len(evals))]
+        for l in (1, 10**6, 10**9, 10**12):
+            t_exact = (4 * l + mpmath.mpf(2) / cert.g) * mpmath.pi
+            amp = mpmath.fsum(w * mpmath.expj(-t_exact * lam) for lam, w in zip(evals, weights))
+            time, fid = fidelity_at(gdec, params, u, v, l, cert.g)
+            assert time == (4.0 * l + 2.0 / cert.g) * math.pi
+            assert abs(fid - float(abs(amp) ** 2)) <= 1e-12, l
+
+
+@pytest.mark.parametrize(
+    "base,att,u,v,g",
+    [
+        ("CP:4", "empty:1", 0, 1, 2),
+        ("K:2", "K:2", 0, 1, 1),
+        ("HQ:3", "K:1", 0, 7, 2),
+        # non-integral base: what the CLI's heuristic fallback scans
+        ("C:5", "K:1", 0, 1, 1),
+        ("C:5", "K:1", 0, 2, 1),
+        ("C:7", "empty:2", 0, 3, 1),
+    ],
+)
+def test_scan_matches_transition_element(base, att, u, v, g):
+    _, _, gdec, params = corona_of(base, att)
+    for l in list(range(0, 40)) + [997, 4096, 8191, 8192, 8193]:
+        time, fid = fidelity_at(gdec, params, u, v, l, g)
+        amp = corona_transition_element(gdec, params, u, v, time)
+        assert fid == pytest.approx(abs(amp) ** 2, abs=1e-10), l
+
+
+def test_scan_keeps_the_first_hit_and_the_smaller_l_on_ties():
+    _, _, gdec, params = corona_of("C:5", "K:1")
+    l_bound = 9000  # two chunks
+    oracle = np.array(
+        [abs(corona_transition_element(gdec, params, 0, 1, (4.0 * l + 2.0) * math.pi)) ** 2
+         for l in range(l_bound + 1)]
+    )
+    best_l, time, fid, achieved = pgst_scan(gdec, params, 0, 1, 1e-9, l_bound, 1)
+    assert not achieved
+    assert best_l == int(np.argmax(oracle))
+    assert fid == pytest.approx(oracle[best_l], abs=1e-10)
+    # a threshold below the maximum stops at the first l reaching it
+    eps = 1.0 - float(np.sort(oracle)[-5])
+    best_l, _, fid, achieved = pgst_scan(gdec, params, 0, 1, eps, l_bound, 1)
+    assert achieved
+    assert best_l == int(np.flatnonzero(oracle >= 1.0 - eps - 1e-12)[0])
+    # a start inside the range scans only what follows it
+    best_l, _, _, _ = pgst_scan(gdec, params, 0, 1, 1e-9, l_bound, 1, l_start=5000)
+    assert best_l == 5000 + int(np.argmax(oracle[5000:]))
+
+
+def test_scan_rejects_a_negative_start():
+    _, _, gdec, params = corona_of("CP:4", "empty:1")
+    with pytest.raises(ValueError, match="non-negative"):
+        pgst_scan(gdec, params, 0, 1, 0.01, 10, 2, l_start=-1)
+
+
+def test_cocktail_grid_matches_transition_element():
+    m, l_bound = 5, 300
+    res = pgst_cocktail(m, 1e-9, l_bound)
+    _, _, gdec, params = corona_of(f"CP:{m}", "K:1")
+    oracle = [abs(corona_transition_element(gdec, params, 0, 1, 2.0 * math.pi * l)) ** 2
+              for l in range(1, l_bound + 1)]
+    assert res.best_l == 1 + int(np.argmax(oracle))
+    assert res.time == 2.0 * math.pi * res.best_l
+    assert res.fidelity == pytest.approx(max(oracle), abs=1e-10)
+
+
+# =========================================================================
+# K2 base with an edgeless attachment: the theta = 0 gap n2 + 1
+# =========================================================================
+
+
+def test_k2_even_attachment_is_not_guaranteed():
+    _, _, gdec, params = corona_of("K:2", "empty:2")
+    with pytest.raises(ValueError, match="not a multiple of g = 2"):
+        pgst_time_search(gdec, params, 0, 1, 1e-2, 100)
+
+
+def test_k2_odd_attachment_stays_guaranteed():
+    _, _, gdec, params = corona_of("K:2", "empty:5")
+    res = pgst_time_search(gdec, params, 0, 1, 1e-4, 10**6)
+    assert res.basis == "irrational-gap-search"
+    assert (res.best_l, res.achieved) == (82, True)
+
+
+def test_cli_k2_even_attachment_falls_back(capsys):
+    code = cli.main(["search-pgst", "corona(K:2,empty:2)", "0", "1", "--l-bound", "200"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert '"mode": "heuristic"' in out
+    assert '"basis": "heuristic-search"' in out
+    assert "not a multiple of g = 2" in out
+
+
+# =========================================================================
+# golden-section refinement without scipy at run time
+# =========================================================================
+
+
+def _seeded_brackets(seed: int, count: int):
+    """(function, bracket) pairs from fidelity grids of small graphs."""
+    rng = random.Random(seed)
+    specs = ["K:3", "C:5", "C:7", "CP:3", "HQ:3", "corona(C:4,K:1)", "corona(CP:3,K:1)"]
+    out = []
+    while len(out) < count:
+        spec = rng.choice(specs)
+        graph = cli.parse_spec(spec).graph
+        dec = decompose(signless_laplacian(graph))
+        u, v = rng.sample(range(graph.n), 2)
+        t_max, steps = rng.uniform(1.0, 30.0), rng.randrange(4, 300)
+        taus = t_max * np.arange(1, steps + 1) / steps
+        fids = np.abs(transition_amplitude(dec, u, v, taus)) ** 2
+        k = rng.randrange(1, steps - 1) if rng.random() < 0.3 else int(np.argmax(fids[:-1]))
+        k = max(k, 1)
+
+        def neg_fid(t, dec=dec, u=u, v=v):
+            return -abs(transition_amplitude(dec, u, v, float(t))) ** 2
+
+        out.append((neg_fid, (float(taus[k - 1]), float(taus[k]), float(taus[k + 1])),
+                    (dec, u, v, t_max, steps)))
+    return out
+
+
+def test_golden_port_matches_scipy():
+    valid = 0
+    for func, bracket, _ in _seeded_brackets(seed=11, count=80):
+        try:
+            want = minimize_scalar(func, bracket=bracket, method="golden")
+        except ValueError:
+            with pytest.raises(ValueError):
+                _golden(func, *bracket)
+            continue
+        valid += 1
+        x, fx = _golden(func, *bracket)
+        assert (x, fx) == (float(want.x), float(want.fun))
+    assert valid >= 30
+
+
+def test_fidelity_scan_matches_scipy_where_bracketed():
+    compared = 0
+    for _, _, (dec, u, v, t_max, steps) in _seeded_brackets(seed=23, count=60):
+        scan = fidelity_scan(dec, u, v, t_max, steps)
+        fids = scan.fidelities
+        best = int(np.argmax(fids))
+        grid_best = float(fids[best])
+        assert scan.best_fidelity >= grid_best
+        if not 0 < best < steps - 1:
+            continue
+        taus = scan.taus
+
+        def neg_fid(t):
+            return -abs(transition_amplitude(dec, u, v, float(t))) ** 2
+
+        try:
+            res = minimize_scalar(
+                neg_fid, bracket=(float(taus[best - 1]), float(taus[best]), float(taus[best + 1])),
+                method="golden",
+            )
+        except ValueError:
+            continue
+        compared += 1
+        want_tau, want_fid = float(taus[best]), grid_best
+        if taus[best - 1] < res.x <= t_max and -res.fun > grid_best:
+            want_tau, want_fid = float(res.x), float(-res.fun)
+        assert (scan.best_tau, scan.best_fidelity) == (want_tau, want_fid)
+    assert compared >= 20
+
+
+def test_bounded_golden_finds_an_interior_minimum():
+    x, fx = _bounded_golden(lambda t: (t - 0.3) ** 2, 0.0, 1.0)
+    assert x == pytest.approx(0.3, abs=1e-7)
+    assert fx <= 1e-14
+    # an end minimum is approached from inside
+    x, _ = _bounded_golden(lambda t: t, 2.0, 3.0)
+    assert 2.0 < x < 2.0 + 1e-6
+
+
+def test_refinement_never_below_grid_at_the_grid_end():
+    # K2 fidelity sin^2(tau) rises up to the last grid point 1.5 < pi/2,
+    # so the bracket is invalid and the bounded search runs
+    dec = decompose(signless_laplacian(generate("K:2")))
+    scan = fidelity_scan(dec, 0, 1, 1.5, 3)
+    assert scan.best_fidelity >= float(scan.fidelities[-1])
+    assert scan.best_tau <= 1.5
+
+
+# =========================================================================
+# the command line parser is built once
+# =========================================================================
+
+
+def test_cli_builds_its_parser_once(monkeypatch, capsys):
+    built = []
+    real = cli.build_parser
+
+    def counting():
+        built.append(1)
+        return real()
+
+    monkeypatch.setattr(cli, "_PARSER", None)
+    monkeypatch.setattr(cli, "build_parser", counting)
+    outs = []
+    for argv in (
+        ["spectrum", "K:3", "--projectors"],
+        ["spectrum", "K:3"],
+        ["search-pgst", "cocktail-corona:3", "--l-bound", "21"],
+        ["search-pgst", "cocktail-corona:3", "--epsilon", "0.5"],
+    ):
+        assert cli.main(argv) == 0
+        outs.append(capsys.readouterr().out)
+    assert len(built) == 1
+    # nothing set by one call is seen by the next
+    assert '"projectors"' in outs[0] and '"projectors"' not in outs[1]
+    assert '"l_bound": 21,' in outs[2] and '"l_bound": 1000000,' in outs[3]
