@@ -290,18 +290,12 @@ def cmd_corona_spectrum(args, cfg: RunConfig) -> tuple:
 
     oracle = decompose(corona_full_q(gspec.graph, hspec.graph), cfg.cluster_tol)
     closed_sorted = np.sort(
-        np.concatenate(
-            [np.full(e.multiplicity, float(e.value)) for e in spectrum.entries]
+        np.repeat(
+            [float(e.value) for e in spectrum.entries],
+            [e.multiplicity for e in spectrum.entries],
         )
     )
-    oracle_sorted = np.sort(
-        np.concatenate(
-            [
-                np.full(m, v)
-                for v, m in zip(oracle.eigenvalues, oracle.multiplicities)
-            ]
-        )
-    )
+    oracle_sorted = np.sort(np.repeat(oracle.eigenvalues, oracle.multiplicities))
     max_dev = float(np.max(np.abs(closed_sorted - oracle_sorted)))
 
     if cfg.format == "csv":
@@ -365,7 +359,7 @@ def cmd_check_pst(args, cfg: RunConfig) -> tuple:
         dec = decompose(signless_laplacian(spec.graph), cfg.cluster_tol)
         report = pst_certify(dec, u, v, tol=cfg.tolerance)
     out = {"spec": spec.text, "mode": mode}
-    out.update(report.to_json_dict())
+    out.update(vars(report))
     out["support"] = [_value_json(x) for x in report.support]
     out["lambda_plus"] = [_value_json(x) for x in report.lambda_plus]
     out["lambda_minus"] = [_value_json(x) for x in report.lambda_minus]
@@ -417,7 +411,7 @@ def cmd_search_pgst(args, cfg: RunConfig) -> tuple:
             )
             mode = "heuristic"
     out = {"spec": spec.text, "mode": mode}
-    out.update(result.to_json_dict())
+    out.update(vars(result))
     if note is not None:
         out["note"] = note
     return render_json(out), 0

@@ -118,9 +118,6 @@ class CoronaEigenvalue:
     radicand: object = None
     source_index: int = -1
 
-    def __float__(self) -> float:
-        return float(self.value)
-
 
 def _as_int(x: float) -> int | None:
     r = round(float(x))
@@ -129,11 +126,31 @@ def _as_int(x: float) -> int | None:
     return None
 
 
-def _pair_values(theta, a_sum: int | float, radicand, n_int: int | None):
+def _base_pairs(gdec: SpectralDecomposition, params: CoronaParams) -> list:
+    """(index, theta, x, D) per base eigenvalue, top first.
+
+    x = theta - s + t and D is the squared pair gap x^2 + 4*n2, or
+    `top_radicand` at the top, where theta is 2*r1.  theta and D are ints
+    when theta lies within INTEGRALITY_TOL of an integer, floats otherwise.
+    """
+    s, t = params.s, params.t
+    top = 2 * params.r1
+    out = [(0, top, top - s + t, top_radicand(params))]
+    for idx in range(1, len(gdec.eigenvalues)):
+        theta = gdec.eigenvalues[idx]
+        th_int = _as_int(theta)
+        if th_int is not None:
+            theta = th_int
+        x = theta - s + t
+        # x * x, not x ** 2: float radicands keep the bits of the scan's oracle
+        out.append((idx, theta, x, x * x + 4 * params.n2))
+    return out
+
+
+def _pair_values(a_sum: int | float, radicand):
     """Both members of a pair: QuadExt when the radicand is an exact integer."""
-    if n_int is not None:
-        d = int(radicand)
-        root, delta = square_free_part(d)
+    if isinstance(radicand, int):
+        root, delta = square_free_part(radicand)
         plus = QuadExt(a_sum, root, delta)
         minus = QuadExt(a_sum, -root, delta)
         return plus, minus
@@ -165,13 +182,6 @@ class CoronaSpectrum:
     entries: tuple
     gdec: SpectralDecomposition
     hdec: SpectralDecomposition
-
-    @property
-    def n(self) -> int:
-        return self.params.n1 * (1 + self.params.n2)
-
-    def values_with_multiplicity(self) -> list:
-        return [(float(e.value), e.multiplicity) for e in self.entries]
 
     def base_signs(self, u: int, v: int, tol: float = 1e-8):
         """Strong cospectrality of base vertices (u,0), (v,0), without projectors.
@@ -302,44 +312,21 @@ def corona_spectrum(
             )
         )
 
-    # pair family for every base eigenvalue below the top
-    for idx in range(1, len(gdec.eigenvalues)):
-        theta = gdec.eigenvalues[idx]
-        m = gdec.multiplicities[idx]
-        th_int = _as_int(theta)
-        if th_int is not None:
-            radicand = pair_radicand(params, th_int)
-            a_sum = th_int + s + t
-        else:
-            radicand = (theta - s + t) ** 2 + 4 * params.n2
-            a_sum = theta + s + t
-        plus, minus = _pair_values(theta, a_sum, radicand, th_int)
-        for kind, value in ((PAIR_PLUS, plus), (PAIR_MINUS, minus)):
+    # one pair per base eigenvalue; the top pair, from 2*r1, goes last
+    pairs = _base_pairs(gdec, params)
+    for idx, theta, _, radicand in pairs[1:] + pairs[:1]:
+        kinds = (TOP_PLUS, TOP_MINUS) if idx == 0 else (PAIR_PLUS, PAIR_MINUS)
+        for kind, value in zip(kinds, _pair_values(theta + s + t, radicand)):
             entries.append(
                 CoronaEigenvalue(
                     kind=kind,
                     value=value,
-                    origin=float(theta),
-                    multiplicity=m,
+                    origin=float(gdec.eigenvalues[idx]),
+                    multiplicity=gdec.multiplicities[idx],
                     radicand=radicand,
                     source_index=idx,
                 )
             )
-
-    # top pair from the simple eigenvalue 2*r1
-    radicand = top_radicand(params)
-    plus, minus = _pair_values(2 * params.r1, 2 * params.r1 + s + t, radicand, 1)
-    for kind, value in ((TOP_PLUS, plus), (TOP_MINUS, minus)):
-        entries.append(
-            CoronaEigenvalue(
-                kind=kind,
-                value=value,
-                origin=float(2 * params.r1),
-                multiplicity=1,
-                radicand=radicand,
-                source_index=0,
-            )
-        )
 
     total = sum(e.multiplicity for e in entries)
     expect = n1 * (1 + params.n2)

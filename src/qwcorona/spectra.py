@@ -63,9 +63,10 @@ class Amplitude:
 def decompose(q: np.ndarray, cluster_tol: float = DEFAULT_CLUSTER_TOL) -> SpectralDecomposition:
     """Eigendecompose a symmetric matrix, merging eigenvalues within tolerance.
 
-    The clustering threshold is cluster_tol scaled by the spectral norm of q
-    (floored at 1 for tiny matrices).  When two clusters sit closer than ten
-    times the threshold a warning string is attached to the result.
+    An eigenvalue joins a cluster when it lies within cluster_tol of the
+    cluster's largest member; the threshold is absolute, not scaled by the
+    spectral norm of q.  When two clusters sit closer than ten times
+    cluster_tol a warning string is attached to the result.
     """
     q = np.asarray(q, dtype=float)
     if q.ndim != 2 or q.shape[0] != q.shape[1]:
@@ -76,8 +77,6 @@ def decompose(q: np.ndarray, cluster_tol: float = DEFAULT_CLUSTER_TOL) -> Spectr
         raise ValueError(f"cluster_tol must be positive, got {cluster_tol}")
 
     vals, vecs = np.linalg.eigh(q)
-    scale = max(1.0, float(np.max(np.abs(vals))) if vals.size else 1.0)
-    tol = cluster_tol * scale
 
     # descending order
     order = np.argsort(vals)[::-1]
@@ -87,7 +86,7 @@ def decompose(q: np.ndarray, cluster_tol: float = DEFAULT_CLUSTER_TOL) -> Spectr
     clusters = []
     start = 0
     for i in range(1, len(vals)):
-        if vals[start] - vals[i] > tol:
+        if vals[start] - vals[i] > cluster_tol:
             clusters.append((start, i))
             start = i
     clusters.append((start, len(vals)))
@@ -107,11 +106,11 @@ def decompose(q: np.ndarray, cluster_tol: float = DEFAULT_CLUSTER_TOL) -> Spectr
     warnings = []
     for k in range(1, len(eigenvalues)):
         gap = eigenvalues[k - 1] - eigenvalues[k]
-        if gap < GAP_WARNING_FACTOR * tol:
+        if gap < GAP_WARNING_FACTOR * cluster_tol:
             warnings.append(
                 f"clusters {eigenvalues[k - 1]:.12g} and {eigenvalues[k]:.12g} "
                 f"are separated by {gap:.3e}, below {GAP_WARNING_FACTOR:g}x the "
-                f"clustering threshold {tol:.3e}"
+                f"clustering threshold {cluster_tol:.3e}"
             )
 
     return SpectralDecomposition(

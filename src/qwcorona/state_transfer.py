@@ -39,6 +39,7 @@ from .corona_spectra import (
     CoronaParams,
     CoronaSpectrum,
     _as_int,
+    _base_pairs,
     _validate_base,
     corona_spectrum,
     pair_radicand,
@@ -86,23 +87,6 @@ class PSTReport:
     phase: object = None
     refutation_witness: object = None
 
-    def to_json_dict(self) -> dict:
-        return {
-            "u": self.u,
-            "v": self.v,
-            "verdict": self.verdict,
-            "basis": self.basis,
-            "strongly_cospectral": self.strongly_cospectral,
-            "support": list(self.support),
-            "delta": self.delta,
-            "g": self.g,
-            "lambda_plus": list(self.lambda_plus),
-            "lambda_minus": list(self.lambda_minus),
-            "tau0": self.tau0,
-            "phase": self.phase,
-            "refutation_witness": self.refutation_witness,
-        }
-
 
 @dataclass(frozen=True)
 class PeriodicityReport:
@@ -114,16 +98,6 @@ class PeriodicityReport:
     basis: str
     delta: object = None
     witness: object = None
-
-    def to_json_dict(self) -> dict:
-        return {
-            "vertex": self.vertex,
-            "periodic": self.periodic,
-            "case": self.case,
-            "basis": self.basis,
-            "delta": self.delta,
-            "witness": self.witness,
-        }
 
 
 @dataclass(frozen=True)
@@ -140,19 +114,6 @@ class PGSTSearchResult:
     time: object = None
     fidelity: object = None
 
-    def to_json_dict(self) -> dict:
-        return {
-            "u": self.u,
-            "v": self.v,
-            "target_epsilon": self.target_epsilon,
-            "l_bound": self.l_bound,
-            "achieved": self.achieved,
-            "basis": self.basis,
-            "best_l": self.best_l,
-            "time": self.time,
-            "fidelity": self.fidelity,
-        }
-
 
 @dataclass(frozen=True)
 class K2CoronaVerdict:
@@ -164,16 +125,6 @@ class K2CoronaVerdict:
     basis: str
     provenance: str
     witness: object = None
-
-    def to_json_dict(self) -> dict:
-        return {
-            "n2": self.n2,
-            "r2": self.r2,
-            "verdict": self.verdict,
-            "basis": self.basis,
-            "provenance": self.provenance,
-            "witness": self.witness,
-        }
 
 
 # ---------------------------------------------------------------------------
@@ -228,15 +179,12 @@ def _integral_support(support):
     out = []
     for x in support:
         if isinstance(x, QuadExt):
-            if not x.is_integer:
-                return None
-            out.append(x.as_integer())
-            continue
-        xf = float(x)
-        r = round(xf)
-        if abs(xf - r) > 1e-6:
+            k = x.as_integer() if x.is_integer else None
+        else:
+            k = _as_int(x)
+        if k is None:
             return None
-        out.append(int(r))
+        out.append(k)
     return out
 
 
@@ -639,18 +587,13 @@ def _phase_terms(gdec, params, u, v) -> list:
     _validate_base(gdec, params, 1e-8)
     s, t = params.s, params.t
     terms = []
-    for idx, theta in enumerate(gdec.eigenvalues):
+    for idx, theta, x, d in _base_pairs(gdec, params):
         f = float(gdec.projectors[idx][u, v])
-        th = 2 * params.r1 if idx == 0 else _as_int(theta)
-        if th is None:
-            x = theta - s + t
-            lam = math.sqrt(x * x + 4 * params.n2)
-            members = [((theta + s + t + sg * lam) / 2.0).as_integer_ratio() for sg in (1, -1)]
+        lam = math.sqrt(d)
+        if isinstance(d, int):
+            members = [(theta + s + t, 2, d, sg) for sg in (1, -1)]
         else:
-            x = th - s + t
-            d = top_radicand(params) if idx == 0 else pair_radicand(params, th)
-            lam = math.sqrt(d)
-            members = [(th + s + t, 2, d, sg) for sg in (1, -1)]
+            members = [((theta + s + t + sg * lam) / 2.0).as_integer_ratio() for sg in (1, -1)]
         for sg, mu in zip((1, -1), members):
             terms.append(_PhaseTerm(f * (1 + sg * x / lam) / 2, *mu))
     return terms
@@ -775,14 +718,10 @@ def pgst_time_search(
             "guarantee requires an irrational top gap"
         )
     if params.n1 >= 3:
-        for th in gdec.eigenvalues[1:]:
-            r = round(float(th))
-            if abs(float(th) - r) > 1e-6:
-                continue
-            d = pair_radicand(params, int(r))
-            if is_perfect_square(d):
+        for _, theta, _, d in _base_pairs(gdec, params)[1:]:
+            if isinstance(d, int) and is_perfect_square(d):
                 raise ValueError(
-                    f"pair gap sqrt({d}) at base eigenvalue {int(r)} is rational; "
+                    f"pair gap sqrt({d}) at base eigenvalue {theta} is rational; "
                     "the search guarantee requires every pair gap of a base on "
                     f"{params.n1} >= 3 vertices to be irrational"
                 )
@@ -877,6 +816,34 @@ def pgst_cocktail(
 # orchestration
 
 
+def _refutation(params: CoronaParams, u: int, v: int, integral: dict):
+    """First exact refutation of transfer between base vertices u and v.
+
+    Rules in order: the size bound, the two-vertex-base rules, the gap
+    rules, then the periodicity split, each on the integral base supports
+    in `integral`.  Returns (basis, vertex whose support is reported,
+    witness), or None when no rule fires.
+    """
+    for w in (u, v):
+        holds, witness = periodicity_size_bound(params, integral[w])
+        if not holds:
+            return "size-bound", w, {"vertex": w, "eigenvalue": witness}
+    if params.n1 == 2:
+        k2 = k2_corona_no_pst(params.n2, params.r2)
+        if k2.verdict == NO_PST:
+            return k2.basis, u, {"provenance": k2.provenance, "witness": k2.witness}
+    for w in (u, v):
+        fired, which, witness = support_gap_refutation(params, integral[w])
+        if fired:
+            return which, w, {"vertex": w, "witness": witness}
+    for w in (u, v):
+        per = corona_base_periodicity(params, integral[w], vertex=w)
+        if per.case != UNDECIDED and not per.periodic:
+            witness = {"vertex": w, "rule": per.basis, "witness": per.witness}
+            return "nonperiodic-endpoint", w, witness
+    return None
+
+
 def corona_base_pst_check(
     g: Graph,
     h: Graph,
@@ -903,61 +870,17 @@ def corona_base_pst_check(
     integral = {w: _integral_support(sup) for w, sup in supports.items()}
 
     if all(ints is not None for ints in integral.values()):
-        exact = {
-            w: tuple(QuadExt.from_int(k) for k in ints)
-            for w, ints in integral.items()
-        }
-        for w in (u, v):
-            holds, witness = periodicity_size_bound(params, integral[w])
-            if not holds:
-                return PSTReport(
-                    u=u,
-                    v=v,
-                    verdict=NO_PST,
-                    basis="size-bound",
-                    support=exact[w],
-                    refutation_witness={"vertex": w, "eigenvalue": witness},
-                )
-        if params.n1 == 2:
-            k2 = k2_corona_no_pst(params.n2, params.r2)
-            if k2.verdict == NO_PST:
-                return PSTReport(
-                    u=u,
-                    v=v,
-                    verdict=NO_PST,
-                    basis=k2.basis,
-                    support=exact[u],
-                    refutation_witness={
-                        "provenance": k2.provenance,
-                        "witness": k2.witness,
-                    },
-                )
-        for w in (u, v):
-            fired, which, witness = support_gap_refutation(params, integral[w])
-            if fired:
-                return PSTReport(
-                    u=u,
-                    v=v,
-                    verdict=NO_PST,
-                    basis=which,
-                    support=exact[w],
-                    refutation_witness={"vertex": w, "witness": witness},
-                )
-        for w in (u, v):
-            per = corona_base_periodicity(params, integral[w], vertex=w)
-            if per.case != UNDECIDED and not per.periodic:
-                return PSTReport(
-                    u=u,
-                    v=v,
-                    verdict=NO_PST,
-                    basis="nonperiodic-endpoint",
-                    support=exact[w],
-                    refutation_witness={
-                        "vertex": w,
-                        "rule": per.basis,
-                        "witness": per.witness,
-                    },
-                )
+        refuted = _refutation(params, u, v, integral)
+        if refuted is not None:
+            basis, w, witness = refuted
+            return PSTReport(
+                u=u,
+                v=v,
+                verdict=NO_PST,
+                basis=basis,
+                support=tuple(QuadExt.from_int(k) for k in integral[w]),
+                refutation_witness=witness,
+            )
 
     hdec = decompose(signless_laplacian(h), cluster_tol)
     return corona_pst_certify(corona_spectrum(gdec, hdec, params), u, v, tol)

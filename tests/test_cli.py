@@ -249,6 +249,25 @@ def test_corona_spectrum_json(capsys):
     assert tops["top-plus"]["radicand"] == 8
 
 
+def _approx(value) -> float:
+    if "approx" in value:
+        return value["approx"]
+    return (value["a"] + value["b"] * math.sqrt(value["delta"])) / 2
+
+
+@pytest.mark.parametrize(
+    "g_spec, h_spec", [("C:40", "C:20"), ("C:24", "empty:19"), ("C:20", "K:23")]
+)
+def test_corona_spectrum_oracle_keeps_close_pair_values_apart(capsys, g_spec, h_spec):
+    # pair-minus values of distinct base eigenvalues sit ~1e-5 apart here;
+    # an oracle clustering scaled by the spectral norm merged them
+    out = run_json(capsys, ["corona-spectrum", g_spec, h_spec])
+    values = sorted((_approx(e["value"]) for e in out["closed_form"]), reverse=True)
+    distinct = 1 + sum(a - b > 1e-9 for a, b in zip(values, values[1:]))
+    assert len(out["oracle"]) == distinct
+    assert out["max_deviation"] < 1e-9
+
+
 def test_corona_spectrum_csv(capsys):
     code, out, _ = run(capsys, ["corona-spectrum", "K:2", "K:1", "--format", "csv"])
     assert code == 0
@@ -290,6 +309,18 @@ def test_check_pst_copy_address_goes_generic(capsys):
     out = run_json(capsys, ["check-pst", "corona(K:2,K:1)", "copy:0:0", "copy:1:0"])
     assert out["mode"] == "generic"
     assert out["u"] == 2 and out["v"] == 3
+
+
+def test_check_pst_irregular_corona_base_goes_generic(capsys):
+    # the base corona(K:2,K:1) is not regular, so the closed form rejects
+    # it and the dense decomposition of the whole graph decides
+    code, out, _ = run(
+        capsys, ["check-pst", "corona(corona(K:2,K:1),K:1)", "base:0", "base:1"]
+    )
+    assert code == 3
+    out = json.loads(out)
+    assert out["mode"] == "generic"
+    assert out["verdict"] == "undecided-numeric"
 
 
 def test_check_pst_undecided_exit_code(tmp_path, capsys):

@@ -426,6 +426,36 @@ def test_orchestrator_k2_coronas():
     assert rep.basis == "even-order-rule"
 
 
+@pytest.mark.parametrize(
+    "gspec, hspec, basis, support, witness",
+    [
+        ("K:3", "K:1", "size-bound", (4, 1), {"vertex": 0, "eigenvalue": 1}),
+        (
+            "K:2",
+            "K:2",
+            "even-order-rule",
+            (2, 0),
+            {"provenance": "external-literature", "witness": None},
+        ),
+        ("K:2", "K:3", "prime-order-rule", (2, 0), {"provenance": "derived", "witness": 12}),
+        ("K:3", "K:2", "close-top-ratio", (4, 1), {"vertex": 0, "witness": 1}),
+        (
+            "K:3",
+            "CP:3",
+            "nonperiodic-endpoint",
+            (4, 1),
+            {"vertex": 0, "rule": "non-square-pair-gap", "witness": (1, 33)},
+        ),
+    ],
+)
+def test_orchestrator_refutation_exits(gspec, hspec, basis, support, witness):
+    # one case per refutation the orchestrator can return, in rule order
+    rep = corona_base_pst_check(generate(gspec), generate(hspec), 0, 1)
+    assert (rep.verdict, rep.basis) == (NO_PST, basis)
+    assert rep.support == tuple(QuadExt.from_int(k) for k in support)
+    assert rep.refutation_witness == witness
+
+
 def test_orchestrator_k3_c4_reaches_certifier():
     # both endpoints periodic, so the closed-form certifier runs; the pair
     # still fails strong cospectrality
