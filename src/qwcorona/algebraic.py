@@ -3,29 +3,22 @@
 Eigenvalues handled here are either integers or numbers of the form
 (a + b*sqrt(delta))/2 with integers a, b and square-free delta.  The module
 provides the canonical container ``QuadExt``, square-free factorization,
-recognition of floats as exact values (``as_exact`` is the one entry
-point the rest of the package uses), and the gap/parity classification
-that drives state transfer certification.
+recognition of floats as exact values, and the gap/parity classification
+that drives state transfer certification.  ``as_exact`` is the one
+recognizer: it takes a whole list of eigenvalues and reads each quadratic
+surd from its algebraic conjugate in the same list, so it recognizes
+quadratic algebraic integers only, with no bound on their coefficients.
 """
 from __future__ import annotations
 
 import math
 import operator
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 DEFAULT_FACTOR_CEILING = 10_000_000
 DEFAULT_RECOGNITION_TOL = 1e-9
-DEFAULT_DELTA_BOUND = 10_000
-DEFAULT_COEFF_BOUND = 1_000_000
-# candidates evaluated at once by recognize_quadext's sweep
-_SWEEP_BLOCK = 1 << 13
-
-
-class AmbiguousMatchError(ValueError):
-    """Two distinct exact candidates fit the same float within tolerance."""
 
 
 class InvalidSupportError(ValueError):
@@ -80,21 +73,6 @@ def square_free_part(n: int, ceiling: int = DEFAULT_FACTOR_CEILING) -> tuple[int
                 f"cannot certify the square-free part of {n} with ceiling {ceiling}"
             )
     return s, c
-
-
-@lru_cache(maxsize=8)
-def _square_free_table(bound: int) -> tuple[np.ndarray, np.ndarray]:
-    """Square-free integers in [2, bound], ascending, and their square roots."""
-    n = max(bound, 1)
-    flags = np.ones(n + 1, dtype=bool)
-    flags[:2] = False
-    for p in range(2, math.isqrt(n) + 1):
-        flags[p * p :: p * p] = False
-    deltas = np.flatnonzero(flags)
-    roots = np.sqrt(deltas.astype(np.float64))
-    deltas.setflags(write=False)
-    roots.setflags(write=False)
-    return deltas, roots
 
 
 @dataclass(frozen=True)
@@ -217,93 +195,47 @@ class QuadExt:
         return f"({self.a} + {self.b}*sqrt({self.delta}))/2"
 
 
-def recognize_quadext(
-    x: float,
-    tolerance: float = DEFAULT_RECOGNITION_TOL,
-    delta_bound: int = DEFAULT_DELTA_BOUND,
-    coeff_bound: int = DEFAULT_COEFF_BOUND,
-) -> QuadExt | None:
-    """Map a float to the unique nearby exact value (a + b*sqrt(delta))/2.
+def as_exact(values, tolerance: float = DEFAULT_RECOGNITION_TOL) -> list[QuadExt | None]:
+    """The exact value of each eigenvalue in a list, None where it has no unique form.
 
-    Integers and half-integers (b = 0) are recognized first and
-    short-circuit.  Quadratic candidates range over square-free
-    delta <= delta_bound and 0 < |b| <= min(coeff_bound,
-    int((2|x| + 4)/sqrt(delta)) + 2), so that values with no small exact
-    form (pi, say) fall through to None instead of hitting an accidental
-    combination with huge coefficients.  Each candidate takes
-    a = round(2x - b*sqrt(delta)) and is accepted when |a| <= coeff_bound
-    and |x - (a + b*sqrt(delta))/2| <= tolerance.
+    A QuadExt passes through, an integer goes through `QuadExt.from_int`,
+    and a float within tolerance of a half-integer becomes that
+    half-integer.  Any other float x is read from its conjugate: each y in
+    the list with x + y within 2*tolerance of an integer gives a =
+    round(x + y), c = round(x*y) and, if a**2 - 4c > 0, the candidate
+    q = (a +- sqrt(a**2 - 4c))/2 with the sign of x - y, accepted when
+    |q - x| and |conj(q) - y| are both within tolerance.  Exactly one
+    accepted q gives q; none, or two different ones, give None.
 
-    The caps never grow with delta, so the sweep runs over |b| and
-    evaluates +b and -b with numpy on the prefix of the cached delta table
-    whose caps allow |b| (searchsorted on the caps).  Where prefixes are
-    short, consecutive |b| share one block of about _SWEEP_BLOCK
-    candidates, each still held to its own cap, so memory is O(#delta)
-    per step whatever |x| is; no (delta, b) table is built.  The float
-    operations are those of a scalar loop over (delta, b), and rint rounds
-    half to even like round, so the results are the same.  Two distinct
-    surviving candidates raise AmbiguousMatchError, listed in (delta, b)
-    order.
+    So only quadratic algebraic integers whose conjugate is in the list
+    are recognized.  Every eigenvalue of an integer matrix meets that: the
+    spectrum, and each vertex's eigenvalue support, is closed under
+    conjugation.  Each float takes one numpy row over the list.
     """
     if tolerance <= 0:
         raise ValueError("tolerance must be positive")
-    x = float(x)
+    values = list(values)
+    floats = np.array([float(v) for v in values])
+    return [_exact_one(v, x, floats, tolerance) for v, x in zip(values, floats.tolist())]
+
+
+def _exact_one(v, x: float, floats: np.ndarray, tolerance: float) -> QuadExt | None:
+    if isinstance(v, QuadExt):
+        return v
+    if isinstance(v, (int, np.integer)):
+        return QuadExt.from_int(int(v))
     a0 = round(2 * x)
-    if abs(x - a0 / 2.0) <= tolerance and abs(a0) <= coeff_bound:
+    if abs(x - a0 / 2.0) <= tolerance:
         return QuadExt(a0, 0, 1)
-    deltas, roots = _square_free_table(delta_bound)
-    if not deltas.size:
-        return None
-    two_x = 2 * x
-    # min(coeff_bound, int(q) + 2), exact in float while the caps stay small
-    caps = np.minimum(np.floor((2 * abs(x) + 4) / roots), coeff_bound - 2) + 2
-    top = int(caps[0])
-    # prefix[b - 1] = number of deltas whose cap allows |b|
-    prefix = np.searchsorted(-caps, -np.arange(1, top + 1), side="right")
-    hits: list[tuple[int, int, int]] = []
-    b = 1
-    while b <= top:
-        m = int(prefix[b - 1])
-        rows = np.arange(b, min(b + max(1, _SWEEP_BLOCK // m), top + 1))
-        b += rows.size
-        br = rows.astype(np.float64)[:, None] * roots[:m]
-        # -b gives a = round(2x + b*r) and the value (a - b*r)/2, bit for bit
-        for sign, a in ((-1, two_x + br), (1, two_x - br)):
-            np.rint(a, out=a)
-            err = a - br if sign < 0 else a + br
-            err /= 2.0
-            np.subtract(x, err, out=err)
-            # the cap and coefficient tests only run on the rare survivors
-            for i, j in zip(*np.nonzero(np.abs(err, out=err) <= tolerance)):
-                if caps[j] >= rows[i] and abs(a[i, j]) <= coeff_bound:
-                    hits.append((int(deltas[j]), sign * int(rows[i]), int(a[i, j])))
-    if not hits:
-        return None
-    hits.sort()
-    matches = [QuadExt(a, b, delta) for delta, b, a in hits]
-    if len(matches) > 1:
-        listing = ", ".join(str(m) for m in matches)
-        raise AmbiguousMatchError(
-            f"{x!r} matches {len(matches)} exact candidates within {tolerance}: {listing}"
-        )
-    return matches[0]
-
-
-def as_exact(x, tolerance: float = DEFAULT_RECOGNITION_TOL) -> QuadExt | None:
-    """The exact value of an eigenvalue, or None when it has no unique form.
-
-    A QuadExt passes through, an integer goes through `QuadExt.from_int`,
-    and a float goes to `recognize_quadext`, whose AmbiguousMatchError
-    becomes None.
-    """
-    if isinstance(x, QuadExt):
-        return x
-    if isinstance(x, (int, np.integer)):
-        return QuadExt.from_int(int(x))
-    try:
-        return recognize_quadext(float(x), tolerance=tolerance)
-    except AmbiguousMatchError:
-        return None
+    sums = x + floats
+    hits = set()
+    for y in floats[np.abs(sums - np.rint(sums)) <= 2 * tolerance].tolist():
+        a, c = round(x + y), round(x * y)
+        if a * a - 4 * c > 0:
+            q = QuadExt(a, 1 if x > y else -1, a * a - 4 * c)
+            if abs(q.value() - x) <= tolerance and abs(q.conjugate().value() - y) <= tolerance:
+                hits.add(q)
+    return hits.pop() if len(hits) == 1 else None
 
 
 @dataclass(frozen=True)

@@ -261,8 +261,8 @@ def cmd_spectrum(args, cfg: RunConfig) -> tuple:
             lines.append(f"{_fmt_float(val)},{mult}")
         return "\n".join(lines), 0
     rows = []
-    for val, mult in zip(dec.eigenvalues, dec.multiplicities):
-        exact = as_exact(val, cfg.tolerance)
+    exacts = as_exact(dec.eigenvalues, cfg.tolerance)
+    for val, exact, mult in zip(dec.eigenvalues, exacts, dec.multiplicities):
         rows.append(
             {
                 "value": _value_json(exact if exact is not None else val),

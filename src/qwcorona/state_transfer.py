@@ -25,7 +25,6 @@ from fractions import Fraction
 import numpy as np
 
 from .algebraic import (
-    DEFAULT_RECOGNITION_TOL,
     InternalInvariantError,
     InvalidSupportError,
     QuadExt,
@@ -135,13 +134,14 @@ def is_periodic_vertex(support, vertex=None) -> PeriodicityReport:
     """Decide periodicity from the eigenvalue support alone.
 
     Periodic iff all support values are integers, or all share the form
-    (a + b*sqrt(delta))/2 with a common a and square-free delta.
+    (a + b*sqrt(delta))/2 with a common a and square-free delta.  The
+    support is recognized as one list, so a float surd needs its conjugate
+    in it.
     """
     if not support:
         raise ValueError("periodicity needs a nonempty support")
-    exact = []
-    for x in support:
-        e = as_exact(x)
+    exact = as_exact(support)
+    for x, e in zip(support, exact):
         if e is None:
             return PeriodicityReport(
                 vertex=vertex,
@@ -150,7 +150,6 @@ def is_periodic_vertex(support, vertex=None) -> PeriodicityReport:
                 basis="unrecognized-eigenvalues",
                 witness=float(x),
             )
-        exact.append(e)
     try:
         _, delta, _ = common_half_form(exact)
     except InvalidSupportError as err:
@@ -407,7 +406,6 @@ def pst_certify(
     u: int,
     v: int,
     tol: float = 1e-8,
-    recognition_tol: float = 1e-9,
 ) -> PSTReport:
     """Decide perfect transfer between u and v from a decomposition.
 
@@ -421,7 +419,7 @@ def pst_certify(
     if not flag:
         return _not_strongly_cospectral(u, v, dec.eigenvalues, signs)
     supported = [(th, sg) for th, sg in zip(dec.eigenvalues, signs) if sg != 0]
-    return _certify_support(u, v, supported, recognition_tol)
+    return _certify_support(u, v, supported)
 
 
 def corona_pst_certify(
@@ -457,7 +455,7 @@ def corona_pst_certify(
                 support=tuple(float(w) for w, _ in supported),
                 refutation_witness=[float(x), float(y)],
             )
-    return _certify_support(u, v, supported, DEFAULT_RECOGNITION_TOL)
+    return _certify_support(u, v, supported)
 
 
 def _not_strongly_cospectral(u, v, eigenvalues, signs) -> PSTReport:
@@ -471,17 +469,17 @@ def _not_strongly_cospectral(u, v, eigenvalues, signs) -> PSTReport:
     )
 
 
-def _certify_support(u, v, supported, recognition_tol) -> PSTReport:
+def _certify_support(u, v, supported) -> PSTReport:
     """Exact tail shared by both certifiers, on (eigenvalue, sign) pairs.
 
-    Recognition (QuadExt values pass through), the common half-integer
-    form, the parity classification against the measured signs, and on
+    Recognition of the supported values as one list (QuadExt values pass
+    through; a float surd is read from its conjugate, which a support of
+    an integer matrix always holds), the common half-integer form, the parity classification against the measured signs, and on
     success tau0 = pi/(g*sqrt(delta)) with arrival amplitude
     sigma * exp(-i*tau0*theta0) as the phase.
     """
-    exact = []
-    for th, _ in supported:
-        e = as_exact(th, recognition_tol)
+    exact = as_exact([th for th, _ in supported])
+    for (th, _), e in zip(supported, exact):
         if e is None:
             return PSTReport(
                 u=u,
@@ -492,7 +490,6 @@ def _certify_support(u, v, supported, recognition_tol) -> PSTReport:
                 support=tuple(float(w) for w, _ in supported),
                 refutation_witness=float(th),
             )
-        exact.append(e)
 
     try:
         cls = classify_support(exact)

@@ -2,21 +2,25 @@
 from __future__ import annotations
 
 import math
-import random
-from functools import lru_cache
 
 import numpy as np
 import pytest
 
+from qwcorona import (
+    CoronaParams,
+    corona_full_q,
+    corona_spectrum,
+    decompose,
+    generate,
+    signless_laplacian,
+)
 from qwcorona.algebraic import (
-    AmbiguousMatchError,
     InvalidSupportError,
     QuadExt,
     as_exact,
     classify_support,
     common_half_form,
     is_perfect_square,
-    recognize_quadext,
     square_free_part,
 )
 
@@ -141,139 +145,79 @@ def test_quadext_int_mixing():
 
 
 def test_recognize_integers_and_halves():
-    for k in range(-15, 16):
-        assert recognize_quadext(float(k)) == QuadExt.from_int(k)
-        assert recognize_quadext(k + 0.5) == QuadExt(2 * k + 1, 0, 1)
+    ks = range(-15, 16)
+    assert as_exact([float(k) for k in ks]) == [QuadExt.from_int(k) for k in ks]
+    assert as_exact([k + 0.5 for k in ks]) == [QuadExt(2 * k + 1, 0, 1) for k in ks]
 
 
 def test_recognize_surds():
+    # each surd is read from its conjugate, which the list must hold
     cases = [
-        ((2 + math.sqrt(2)) / 2, QuadExt(2, 1, 2)),
         (2 - math.sqrt(2), QuadExt(4, -2, 2)),
         ((7 + 3 * math.sqrt(5)) / 2, QuadExt(7, 3, 5)),
         (1 + math.sqrt(85), QuadExt(2, 2, 85)),
     ]
     for x, expected in cases:
-        assert recognize_quadext(x) == expected
+        conjugate = expected.conjugate()
+        assert as_exact([x, float(conjugate)]) == [expected, conjugate]
 
 
 def test_recognize_rejects_pi():
-    assert recognize_quadext(math.pi) is None
-
-
-def test_recognize_loose_tolerance_is_ambiguous():
-    # at 1e-5 both (0 + 2*sqrt(2))/2 and (102 - sqrt(9835))/2 fit sqrt(2)
-    with pytest.raises(AmbiguousMatchError):
-        recognize_quadext(math.sqrt(2), tolerance=1e-5)
+    assert as_exact([math.pi]) == [None]
+    # an integer sum alone makes no partner: its candidates 3 and 0 are rational
+    assert as_exact([math.pi, 3 - math.pi]) == [None, None]
 
 
 def test_recognize_respects_tolerance():
     x = math.sqrt(2) + 5e-7
-    assert recognize_quadext(x, tolerance=1e-9) is None
-    # restricting the surd search space removes the far-fetched candidates
-    assert recognize_quadext(x, tolerance=1e-5, delta_bound=50) == QuadExt(0, 2, 2)
+    assert as_exact([x, -math.sqrt(2)], tolerance=1e-9)[0] is None
+    assert as_exact([x, -math.sqrt(2)], tolerance=1e-5)[0] == QuadExt(0, 2, 2)
 
 
 def test_as_exact_routes_each_kind():
     q = QuadExt(7, 3, 5)
-    assert as_exact(q) is q
-    assert as_exact(3) == QuadExt.from_int(3)
-    assert as_exact(np.int64(-2)) == QuadExt.from_int(-2)
-    assert as_exact(np.float64((7 + 3 * math.sqrt(5)) / 2)) == q
-    assert as_exact(math.pi) is None
-    # ambiguous at a loose tolerance: no unique form, so no exact value
-    assert as_exact(math.sqrt(2), tolerance=1e-5) is None
+    values = [q, 3, np.int64(-2), np.float64(float(q)), np.float64(float(q.conjugate())), math.pi]
+    got = as_exact(values)
+    assert got[0] is q
+    assert got == [q, QuadExt.from_int(3), QuadExt.from_int(-2), q, q.conjugate(), None]
+    # ambiguous at a loose tolerance: sqrt(2) also lies within 1e-5 of
+    # (-408 + 2*sqrt(42195))/2, whose conjugate is listed, so no unique form
+    far = QuadExt(-408, -2, 42195)
+    roots = [math.sqrt(2), -math.sqrt(2), float(far)]
+    assert as_exact(roots, tolerance=1e-5) == [None, QuadExt(0, -2, 2), far]
 
 
-# =========================================================================
-# recognition against the scalar loop it replaced
-# =========================================================================
+def test_recognize_is_sound_at_loose_tolerance():
+    # every form returned at 1e-6 is the true value: the eigenvalues of
+    # C_11 have degree 5, and no form may fit one of them to 1e-6 only
+    for n in range(3, 101):
+        dec = decompose(signless_laplacian(generate(f"C:{n}")))
+        for x, e in zip(dec.eigenvalues, as_exact(dec.eigenvalues, tolerance=1e-6)):
+            assert e is None or abs(float(e) - x) <= 1e-9, (n, x, e)
 
 
-@lru_cache(maxsize=8)
-def _scalar_sieve(bound: int) -> tuple[int, ...]:
-    """Square-free integers in [2, bound], ascending."""
-    flags = bytearray([1]) * (bound + 1)
-    p = 2
-    while p * p <= bound:
-        step = p * p
-        for k in range(step, bound + 1, step):
-            flags[k] = 0
-        p += 1
-    return tuple(k for k in range(2, bound + 1) if flags[k])
+CORONA_BASES = ["K:2", "K:3", "K:4", "C:4", "C:5", "C:6", "C:8", "CP:2", "CP:3", "HQ:2", "HQ:3"]
+CORONA_ATTACHMENTS = ["K:1", "K:2", "K:3", "empty:2", "empty:3", "C:4"]
 
 
-def _scalar_recognize(x, tolerance=1e-9, delta_bound=10_000, coeff_bound=1_000_000):
-    """The delta x b double loop that recognize_quadext vectorises."""
-    if tolerance <= 0:
-        raise ValueError("tolerance must be positive")
-    x = float(x)
-    a0 = round(2 * x)
-    if abs(x - a0 / 2.0) <= tolerance and abs(a0) <= coeff_bound:
-        return QuadExt(a0, 0, 1)
-    matches: list[QuadExt] = []
-    for delta in _scalar_sieve(delta_bound):
-        root = math.sqrt(delta)
-        b_cap = min(coeff_bound, int((2 * abs(x) + 4) / root) + 2)
-        for b in range(-b_cap, b_cap + 1):
-            if b == 0:
-                continue
-            a = round(2 * x - b * root)
-            if abs(a) > coeff_bound:
-                continue
-            if abs(x - (a + b * root) / 2.0) <= tolerance:
-                cand = QuadExt(a, b, delta)
-                if cand not in matches:
-                    matches.append(cand)
-    if not matches:
-        return None
-    if len(matches) > 1:
-        listing = ", ".join(str(m) for m in matches)
-        raise AmbiguousMatchError(
-            f"{x!r} matches {len(matches)} exact candidates within {tolerance}: {listing}"
+@pytest.mark.parametrize("gspec", CORONA_BASES)
+def test_recognize_every_closed_form_value_of_the_corona(gspec):
+    # every exact entry of the closed form is recognized in the dense
+    # spectrum, pair-minus values with large b such as (16 - 4*sqrt(13))/2
+    # on C:4~oempty:3 included
+    for hspec in CORONA_ATTACHMENTS:
+        g, h = generate(gspec), generate(hspec)
+        spectrum = corona_spectrum(
+            decompose(signless_laplacian(g)),
+            decompose(signless_laplacian(h)),
+            CoronaParams.from_graphs(g, h),
         )
-    return matches[0]
-
-
-def _outcome(fn, x, tolerance, **bounds):
-    try:
-        return fn(x, tolerance, **bounds)
-    except AmbiguousMatchError as err:
-        return f"ambiguous: {err}"
-
-
-def _cycle_q_values(n):
-    """Distinct signless Laplacian eigenvalues 2 + 2cos(2 pi k/n) of C_n."""
-    return [2 + 2 * math.cos(2 * math.pi * k / n) for k in range(n // 2 + 1)]
-
-
-@pytest.mark.parametrize("tolerance", [1e-9, 1e-6, 1e-3])
-def test_recognize_matches_scalar_loop(tolerance):
-    # delta_bound 1000 keeps the scalar loop cheap; the larger cycles are
-    # strided for the same reason
-    rng = random.Random(4)
-    values = _cycle_q_values(20) + _cycle_q_values(41)
-    values += _cycle_q_values(121)[::15] + _cycle_q_values(200)[::15]
-    values += [rng.uniform(-50, 500) for _ in range(4)] + [math.pi, math.e]
-    for x in values:
-        got = _outcome(recognize_quadext, x, tolerance, delta_bound=1000)
-        assert got == _outcome(_scalar_recognize, x, tolerance, delta_bound=1000), x
-
-
-@pytest.mark.parametrize(
-    "x, tolerance",
-    [
-        ((100 + 7 * math.sqrt(9973)) / 2, 1e-9),
-        ((100 + 7 * math.sqrt(9973)) / 2, 1e-3),
-        ((-3 + math.sqrt(9998)) / 2, 1e-9),
-        ((-3 + math.sqrt(9998)) / 2, 1e-6),
-        ((-3 + math.sqrt(9998)) / 2, 1e-3),
-    ],
-)
-def test_recognize_matches_scalar_loop_near_delta_bound(x, tolerance):
-    # delta near the default bound of 10 000 sits at the end of the table;
-    # at 1e-3 the hundreds of candidates must be listed in the same order
-    assert _outcome(recognize_quadext, x, tolerance) == _outcome(_scalar_recognize, x, tolerance)
+        dense = np.asarray(decompose(corona_full_q(g, h)).eigenvalues)
+        recognized = as_exact(dense)
+        for entry in spectrum.entries:
+            if isinstance(entry.value, QuadExt):
+                i = int(np.argmin(np.abs(dense - float(entry.value))))
+                assert recognized[i] == entry.value, (gspec, hspec, entry.value)
 
 
 # 2cos(2 pi j/m) for every m whose cosines are rational or quadratic
@@ -299,19 +243,21 @@ _SMALL_COSINES = {
 def test_recognize_cycle_spectra_match_cyclotomic_truth(n):
     # 2 + 2cos(2 pi k/n) is quadratic exactly when k/n reduces to a
     # denominator m with phi(m) <= 4; every other value must give None
+    got = as_exact([2 + 2 * math.cos(2 * math.pi * k / n) for k in range(n // 2 + 1)])
     for k in range(n // 2 + 1):
         g = math.gcd(n, k)
         m, j = n // g, k // g
         cosine = _SMALL_COSINES.get((m, min(j, m - j)))
         want = None if cosine is None else 2 + cosine
-        assert recognize_quadext(2 + 2 * math.cos(2 * math.pi * k / n)) == want, (n, k)
+        assert got[k] == want, (n, k)
 
 
 def test_recognize_no_false_hits_near_500():
     # 500 + cbrt(k) for non-cube k is cubic, never quadratic
     ks = [k for k in range(2, 400) if round(k ** (1 / 3)) ** 3 != k][:300]
     assert len(ks) == 300
-    assert [k for k in ks if recognize_quadext(500 + k ** (1 / 3)) is not None] == []
+    got = as_exact([500 + k ** (1 / 3) for k in ks])
+    assert [k for k, e in zip(ks, got) if e is not None] == []
 
 
 # =========================================================================

@@ -96,6 +96,17 @@ def test_closed_form_certifier_matches_dense_oracle():
     assert len(cases) == 178
 
 
+def test_dense_certifier_reads_large_radicands():
+    # C6 ~o C79 (N = 480): the supported pair values carry square-free
+    # radicands up to 151 637, read from their conjugates in the support;
+    # the dense support refutes exactly as the closed form does
+    g, h = generate("C:6"), generate("C:79")
+    want = corona_pst_certify(_spectrum("C:6", "C:79"), 0, 3)
+    got = pst_certify(decompose(corona_full_q(g, h)), 0, 3)
+    assert (want.verdict, want.basis) == (NO_PST, "support-form")
+    assert (got.verdict, got.basis, got.support) == (want.verdict, want.basis, want.support)
+
+
 @pytest.mark.parametrize(
     "gspec, hspec, u, v",
     [("C:30", "C:15", 0, 15), ("C:40", "C:5", 0, 20), ("C:24", "empty:12", 0, 12)],
