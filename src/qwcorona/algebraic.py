@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-DEFAULT_FACTOR_CEILING = 10_000_000
+FACTOR_CEILING = 10_000_000
 DEFAULT_RECOGNITION_TOL = 1e-9
 
 
@@ -36,10 +36,10 @@ def is_perfect_square(n: int) -> bool:
     return r * r == n
 
 
-def square_free_part(n: int, ceiling: int = DEFAULT_FACTOR_CEILING) -> tuple[int, int]:
+def square_free_part(n: int) -> tuple[int, int]:
     """Split n > 0 as n = s**2 * c with c square-free; returns (s, c).
 
-    Trial division up to ``ceiling``.  A leftover cofactor whose prime
+    Trial division up to FACTOR_CEILING.  A leftover cofactor whose prime
     factors all exceed the ceiling is certified square-free when it is a
     prime or a product of two distinct primes (guaranteed below
     ceiling**3 once perfect squares are peeled off); anything larger
@@ -51,7 +51,7 @@ def square_free_part(n: int, ceiling: int = DEFAULT_FACTOR_CEILING) -> tuple[int
     s, c = 1, 1
     rem = n
     p = 2
-    while p * p <= rem and p <= ceiling:
+    while p * p <= rem and p <= FACTOR_CEILING:
         if rem % p == 0:
             k = 0
             while rem % p == 0:
@@ -66,11 +66,11 @@ def square_free_part(n: int, ceiling: int = DEFAULT_FACTOR_CEILING) -> tuple[int
             c *= rem
         elif is_perfect_square(rem):
             s *= math.isqrt(rem)
-        elif rem < ceiling**3:
+        elif rem < FACTOR_CEILING**3:
             c *= rem
         else:
             raise ValueError(
-                f"cannot certify the square-free part of {n} with ceiling {ceiling}"
+                f"cannot certify the square-free part of {n} with ceiling {FACTOR_CEILING}"
             )
     return s, c
 

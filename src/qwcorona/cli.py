@@ -12,7 +12,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -38,6 +38,7 @@ from .state_transfer import (
 )
 
 ENV_PREFIX = "QWC_"
+FORMATS = ("json", "csv")
 
 
 @dataclass(frozen=True)
@@ -58,43 +59,29 @@ class RunConfig:
                 raise ValueError(f"{field} must be positive, got {getattr(self, field)}")
         if self.l_bound <= 0 or self.steps <= 0:
             raise ValueError("l_bound and steps must be positive")
-        if self.format not in ("json", "csv"):
+        if self.format not in FORMATS:
             raise ValueError(f"format must be json or csv, got {self.format!r}")
 
 
-_ENV_FIELDS = {
-    "tolerance": ("TOLERANCE", float),
-    "cluster_tol": ("CLUSTER_TOL", float),
-    "l_bound": ("L_BOUND", int),
-    "epsilon": ("EPSILON", float),
-    "t_max": ("T_MAX", float),
-    "steps": ("STEPS", int),
-    "format": ("FORMAT", str),
-}
-
-
 def build_config(args: argparse.Namespace) -> RunConfig:
+    """RunConfig from the QWC_<FIELD> variables and the flags of every field."""
     values = {}
-    explicit_format = False
-    for field, (suffix, cast) in _ENV_FIELDS.items():
-        env = os.environ.get(ENV_PREFIX + suffix)
+    for field in fields(RunConfig):
+        name = ENV_PREFIX + field.name.upper()
+        env = os.environ.get(name)
         if env is not None:
+            cast = type(field.default)
             try:
-                values[field] = cast(env)
+                values[field.name] = cast(env)
             except ValueError:
                 raise ValueError(
-                    f"environment variable {ENV_PREFIX + suffix}={env!r} "
-                    f"is not a valid {cast.__name__}"
+                    f"environment variable {name}={env!r} is not a valid {cast.__name__}"
                 ) from None
-            if field == "format":
-                explicit_format = True
-        flag = getattr(args, field, None)
+        flag = getattr(args, field.name, None)
         if flag is not None:
-            values[field] = flag
-            if field == "format":
-                explicit_format = True
+            values[field.name] = flag
     cfg = RunConfig(**values)
-    object.__setattr__(cfg, "_explicit_format", explicit_format)
+    object.__setattr__(cfg, "_explicit_format", "format" in values)
     return cfg
 
 
@@ -491,13 +478,9 @@ def _parse_grid(text: str) -> tuple:
 
 
 def _add_config_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--tolerance", type=float, default=None)
-    p.add_argument("--cluster-tol", dest="cluster_tol", type=float, default=None)
-    p.add_argument("--l-bound", dest="l_bound", type=int, default=None)
-    p.add_argument("--epsilon", type=float, default=None)
-    p.add_argument("--t-max", dest="t_max", type=float, default=None)
-    p.add_argument("--steps", type=int, default=None)
-    p.add_argument("--format", choices=("json", "csv"), default=None)
+    for field in fields(RunConfig):
+        kind = {"choices": FORMATS} if field.name == "format" else {"type": type(field.default)}
+        p.add_argument("--" + field.name.replace("_", "-"), default=None, **kind)
     p.add_argument("--file", default=None, help="read the graph from an edge list file")
 
 

@@ -14,8 +14,10 @@ t = n2*(n1 - 1):
 
 Values are carried exactly (QuadExt) whenever the source spectrum is
 integral, so downstream certification needs no float recognition.  The
-transition element between base vertices is evaluated from G's
-decomposition alone, without assembling the corona.
+amplitude between base vertices (u,0) and (v,0) comes from G's
+decomposition alone, without assembling the corona: `_amplitude_terms`
+lists its terms, one weight per pair member, and is the one source of
+that amplitude for both `corona_transition_element` and the PGST scan.
 """
 from __future__ import annotations
 
@@ -29,6 +31,9 @@ from .graphs import Graph, is_connected, regular_degree, signless_laplacian
 from .spectra import SpectralDecomposition, strong_cospectrality
 
 INTEGRALITY_TOL = 1e-6
+# a factor's top eigenvalue must lie this close to 2*r; corona values this
+# close merge into one eigenspace in `as_decomposition`
+MATCH_TOL = 1e-8
 
 SHIFT = "shift"
 PAIR_PLUS = "pair-plus"
@@ -158,7 +163,7 @@ def _pair_values(a_sum: int | float, radicand):
     return (a_sum + root) / 2.0, (a_sum - root) / 2.0
 
 
-def _validate_base(gdec: SpectralDecomposition, params: CoronaParams, tol: float) -> None:
+def _validate_base(gdec: SpectralDecomposition, params: CoronaParams) -> None:
     if params.n1 < 2:
         raise ValueError("corona needs at least two base vertices")
     if sum(gdec.multiplicities) != params.n1:
@@ -166,7 +171,7 @@ def _validate_base(gdec: SpectralDecomposition, params: CoronaParams, tol: float
             f"base decomposition has order {sum(gdec.multiplicities)}, expected {params.n1}"
         )
     top = gdec.eigenvalues[0]
-    if abs(top - 2 * params.r1) > tol:
+    if abs(top - 2 * params.r1) > MATCH_TOL:
         raise ValueError(
             f"top base eigenvalue {top:.12g} does not equal 2*r1 = {2 * params.r1}"
         )
@@ -243,7 +248,7 @@ class CoronaSpectrum:
         out[n1:, n1:] = (copy_weight**2 / denom) * np.kron(f_th, ones_block)
         return out
 
-    def as_decomposition(self, tol: float = 1e-8) -> SpectralDecomposition:
+    def as_decomposition(self) -> SpectralDecomposition:
         """Merge entries that share a value into a standard decomposition."""
         items = sorted(
             range(len(self.entries)),
@@ -255,7 +260,7 @@ class CoronaSpectrum:
         projectors = []
         for k in items:
             val = float(self.entries[k].value)
-            if eigenvalues and eigenvalues[-1] - val <= tol:
+            if eigenvalues and eigenvalues[-1] - val <= MATCH_TOL:
                 multiplicities[-1] += self.entries[k].multiplicity
                 projectors[-1] = projectors[-1] + self.projector(k)
             else:
@@ -275,16 +280,15 @@ def corona_spectrum(
     gdec: SpectralDecomposition,
     hdec: SpectralDecomposition,
     params: CoronaParams,
-    tol: float = 1e-8,
 ) -> CoronaSpectrum:
     """All eigenvalues of the corona from the two factor decompositions."""
-    _validate_base(gdec, params, tol)
+    _validate_base(gdec, params)
     if sum(hdec.multiplicities) != params.n2:
         raise ValueError(
             f"attachment decomposition has order {sum(hdec.multiplicities)}, "
             f"expected {params.n2}"
         )
-    if abs(hdec.eigenvalues[0] - 2 * params.r2) > tol:
+    if abs(hdec.eigenvalues[0] - 2 * params.r2) > MATCH_TOL:
         raise ValueError(
             f"top attachment eigenvalue {hdec.eigenvalues[0]:.12g} does not equal "
             f"2*r2 = {2 * params.r2}"
@@ -335,37 +339,39 @@ def corona_spectrum(
     return CoronaSpectrum(params=params, entries=tuple(entries), gdec=gdec, hdec=hdec)
 
 
+def _amplitude_terms(gdec: SpectralDecomposition, params: CoronaParams, u: int, v: int):
+    """The amplitude (u,0) -> (v,0) as rows (weight, a, D, sign), two per pair.
+
+    A base eigenvalue theta puts weight F_theta[u,v]*(1 + sign*x/L)/2 on
+    its pair member (a + sign*L)/2, where a = theta + s + t,
+    x = theta - s + t and L = sqrt(D) is the pair gap (the top gap at
+    theta = 2*r1), so the amplitude at tau is
+    sum weight*exp(-i*tau*(a + sign*sqrt(D))/2).  a and D are ints when
+    theta is integral, as in `_base_pairs`.
+    """
+    _validate_base(gdec, params)
+    s, t = params.s, params.t
+    rows = []
+    for idx, theta, x, d in _base_pairs(gdec, params):
+        f = float(gdec.projectors[idx][u, v])
+        lam = math.sqrt(d)
+        for sign in (1, -1):
+            rows.append((f * (1 + sign * x / lam) / 2, theta + s + t, d, sign))
+    return rows
+
+
 def corona_transition_element(
     gdec: SpectralDecomposition,
     params: CoronaParams,
     u: int,
     v: int,
     taus,
-    tol: float = 1e-8,
 ):
-    """Walk amplitude (u,0) -> (v,0) on the corona, from G's spectrum alone.
-
-    Each base eigenvalue theta contributes
-      exp(-i*tau*(theta+s+t)/2) *
-        (cos(L*tau/2) - i*((theta-s+t)/L)*sin(L*tau/2)) * F_theta[u,v]
-    with L = sqrt((theta-s+t)^2 + 4*n2), and the top eigenvalue 2*r1 the
-    same with 4*n2*(n1-1)^2 under the root.
-    """
-    _validate_base(gdec, params, tol)
-    s, t = params.s, params.t
+    """Walk amplitude (u,0) -> (v,0) on the corona, from G's spectrum alone."""
     taus_arr = np.asarray(taus, dtype=float)
     out = np.zeros(taus_arr.shape, dtype=complex)
-    for idx, theta in enumerate(gdec.eigenvalues):
-        x = theta - s + t
-        if idx == 0:
-            lam2 = x * x + 4 * params.n2 * (params.n1 - 1) ** 2
-        else:
-            lam2 = x * x + 4 * params.n2
-        lam = math.sqrt(lam2)
-        half = taus_arr / 2.0
-        phase = np.exp(-1j * half * (theta + s + t))
-        osc = np.cos(lam * half) - 1j * (x / lam) * np.sin(lam * half)
-        out = out + phase * osc * gdec.projectors[idx][u, v]
+    for weight, a, d, sign in _amplitude_terms(gdec, params, u, v):
+        out = out + weight * np.exp(-0.5j * taus_arr * (a + sign * math.sqrt(d)))
     if np.isscalar(taus) or getattr(taus, "ndim", 0) == 0:
         return complex(out)
     return out

@@ -46,20 +46,6 @@ class SpectralDecomposition:
         return out
 
 
-@dataclass(frozen=True)
-class Amplitude:
-    """One entry of U_Q(tau) = exp(-i tau Q)."""
-
-    value: complex
-    time: float
-    source: int
-    target: int
-
-    @property
-    def fidelity(self) -> float:
-        return float(abs(self.value) ** 2)
-
-
 def decompose(q: np.ndarray, cluster_tol: float = DEFAULT_CLUSTER_TOL) -> SpectralDecomposition:
     """Eigendecompose a symmetric matrix, merging eigenvalues within tolerance.
 
@@ -121,8 +107,8 @@ def decompose(q: np.ndarray, cluster_tol: float = DEFAULT_CLUSTER_TOL) -> Spectr
     )
 
 
-def decompose_graph(g: Graph, cluster_tol: float = DEFAULT_CLUSTER_TOL) -> SpectralDecomposition:
-    return decompose(signless_laplacian(g), cluster_tol)
+def decompose_graph(g: Graph) -> SpectralDecomposition:
+    return decompose(signless_laplacian(g))
 
 
 def transition_matrix(dec: SpectralDecomposition, tau: float) -> np.ndarray:
@@ -145,22 +131,11 @@ def transition_amplitude(dec: SpectralDecomposition, u: int, v: int, taus):
     return out
 
 
-def amplitude(dec: SpectralDecomposition, u: int, v: int, tau: float) -> Amplitude:
-    return Amplitude(
-        value=transition_amplitude(dec, u, v, float(tau)),
-        time=float(tau),
-        source=int(u),
-        target=int(v),
-    )
-
-
-def eigenvalue_support(
-    dec: SpectralDecomposition, u: int, support_tol: float = DEFAULT_SUPPORT_TOL
-) -> tuple:
-    """Eigenvalues whose projector column at u is nonzero (max norm)."""
+def eigenvalue_support(dec: SpectralDecomposition, u: int) -> tuple:
+    """Eigenvalues whose projector column at u exceeds DEFAULT_SUPPORT_TOL (max norm)."""
     out = []
     for theta, f in zip(dec.eigenvalues, dec.projectors):
-        if float(np.max(np.abs(f[:, u]))) > support_tol:
+        if float(np.max(np.abs(f[:, u]))) > DEFAULT_SUPPORT_TOL:
             out.append(theta)
     return tuple(out)
 
@@ -200,8 +175,9 @@ def strong_cospectrality(
     return flag, tuple(signs)
 
 
-def antipodal_identity_check(g: Graph, tol: float = DEFAULT_SUPPORT_TOL) -> bool:
-    """Check A_d F_i = (-1)^i F_i for every projector, eigenvalues descending.
+def antipodal_identity_check(g: Graph) -> bool:
+    """Check A_d F_i = (-1)^i F_i for every projector, eigenvalues descending,
+    to within DEFAULT_SUPPORT_TOL.
 
     A_d is the 0/1 matrix of vertex pairs at distance exactly the diameter.
     Holds for antipodal distance-regular graphs whose antipodal classes
@@ -213,7 +189,7 @@ def antipodal_identity_check(g: Graph, tol: float = DEFAULT_SUPPORT_TOL) -> bool
     dec = decompose_graph(g)
     for i, f in enumerate(dec.projectors):
         want = f if i % 2 == 0 else -f
-        if float(np.max(np.abs(a_d @ f - want))) > tol:
+        if float(np.max(np.abs(a_d @ f - want))) > DEFAULT_SUPPORT_TOL:
             return False
     return True
 

@@ -37,9 +37,9 @@ from .algebraic import (
 from .corona_spectra import (
     CoronaParams,
     CoronaSpectrum,
+    _amplitude_terms,
     _as_int,
     _base_pairs,
-    _validate_base,
     corona_spectrum,
     pair_radicand,
     top_radicand,
@@ -153,13 +153,7 @@ def is_periodic_vertex(support, vertex=None) -> PeriodicityReport:
     try:
         _, delta, _ = common_half_form(exact)
     except InvalidSupportError as err:
-        return PeriodicityReport(
-            vertex=vertex,
-            periodic=False,
-            case="refuted",
-            basis="mixed-support-form",
-            witness=str(err),
-        )
+        return _refuted(vertex, "mixed-support-form", str(err))
     if delta == 1:
         return PeriodicityReport(
             vertex=vertex, periodic=True, case="integer-case", basis="integer-support", delta=1
@@ -171,6 +165,10 @@ def is_periodic_vertex(support, vertex=None) -> PeriodicityReport:
         basis="common-surd-support",
         delta=delta,
     )
+
+
+def _refuted(vertex, basis: str, witness) -> PeriodicityReport:
+    return PeriodicityReport(vertex, False, "refuted", basis, witness=witness)
 
 
 def _integral_support(support):
@@ -194,32 +192,45 @@ def corona_base_periodicity(
 
     The support of (v,0) consists of both members of every pair spawned by
     a base support eigenvalue plus the top pair, so the decision reduces to
-    exact conditions on the pair radicands.  Splits on whether 2*r1 + t
-    equals s: if not, all radicands must be perfect squares; if so, a
-    single square-free delta must make every gap an integer multiple of
+    exact conditions on the pair radicands.
+
+    A non-integral theta in the base support refutes periodicity.  Its
+    pair members sum to theta + s + t, so an integral support of (v,0)
+    makes theta an integer.  A quadratic one has members
+    (a + b*sqrt(delta))/2 with one a, which the top pair fixes at
+    2*r1 + s + t; so theta = 2*r1 + e*sqrt(delta) with e != 0, and the
+    squared gap (theta - s + t)^2 + 4*n2, rational as (b+ - b-)^2*delta/4,
+    forces 2*r1 - s + t = 0.  For n1 >= 3 and r1 >= 1 that cannot hold
+    (s <= n1 + 2*n2 - 3 < 2 + n2*(n1 - 1) <= 2*r1 + t), so it leaves K2
+    and edgeless bases, whose spectra are integral: a non-integral support
+    there raises ValueError.
+
+    For an integral support the split is on whether 2*r1 + t equals s: if
+    not, all radicands must be perfect squares; if so, a single
+    square-free delta must make every gap an integer multiple of
     sqrt(delta), which forces delta = square-free part of n2 and then
     delta | n2.
     """
+    balanced = params.s == 2 * params.r1 + params.t
     ints = _integral_support(base_support)
     if ints is None:
-        values = _corona_support_values(params, base_support)
-        return is_periodic_vertex(values, vertex)
+        if balanced:
+            raise ValueError(
+                "a base with s = 2*r1 + t is K2 or edgeless and has an integral "
+                f"spectrum, got support {list(base_support)}"
+            )
+        theta = next(x for x in base_support if _integral_support([x]) is None)
+        return _refuted(vertex, "non-integral-base-eigenvalue", theta)
 
     top = 2 * params.r1
     rest = sorted({th for th in ints if th != top}, reverse=True)
 
-    if params.s == 2 * params.r1 + params.t:
+    if balanced:
         _, delta_star = square_free_part(params.n2)
         if delta_star != 1:
             if rest:
                 x = rest[0] - params.s + params.t
-                return PeriodicityReport(
-                    vertex=vertex,
-                    periodic=False,
-                    case="refuted",
-                    basis="surd-multiple-violation",
-                    witness=x,
-                )
+                return _refuted(vertex, "surd-multiple-violation", x)
             if params.n2 % delta_star:
                 raise InternalInvariantError(
                     f"square-free part {delta_star} does not divide n2 = {params.n2}"
@@ -236,45 +247,13 @@ def corona_base_periodicity(
     for th in rest:
         d = pair_radicand(params, th)
         if not is_perfect_square(d):
-            return PeriodicityReport(
-                vertex=vertex,
-                periodic=False,
-                case="refuted",
-                basis="non-square-pair-gap",
-                witness=(th, d),
-            )
+            return _refuted(vertex, "non-square-pair-gap", (th, d))
     d_top = top_radicand(params)
     if not is_perfect_square(d_top):
-        return PeriodicityReport(
-            vertex=vertex,
-            periodic=False,
-            case="refuted",
-            basis="non-square-top-gap",
-            witness=(top, d_top),
-        )
+        return _refuted(vertex, "non-square-top-gap", (top, d_top))
     return PeriodicityReport(
         vertex=vertex, periodic=True, case="integer-case", basis="integer-support", delta=1
     )
-
-
-def _corona_support_values(params: CoronaParams, base_support):
-    """Both pair members for every support eigenvalue, top pair included."""
-    out = []
-    top = 2 * params.r1
-    s, t = params.s, params.t
-    for th in base_support:
-        thf = float(th)
-        if abs(thf - top) <= 1e-9:
-            continue
-        d = (thf - s + t) ** 2 + 4 * params.n2
-        root = math.sqrt(d)
-        out.append((thf + s + t + root) / 2.0)
-        out.append((thf + s + t - root) / 2.0)
-    d_top = top_radicand(params)
-    root, delta = square_free_part(d_top)
-    out.append(QuadExt(top + s + t, root, delta))
-    out.append(QuadExt(top + s + t, -root, delta))
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -474,8 +453,9 @@ def _certify_support(u, v, supported) -> PSTReport:
 
     Recognition of the supported values as one list (QuadExt values pass
     through; a float surd is read from its conjugate, which a support of
-    an integer matrix always holds), the common half-integer form, the parity classification against the measured signs, and on
-    success tau0 = pi/(g*sqrt(delta)) with arrival amplitude
+    an integer matrix always holds), the common half-integer form, the
+    parity classification against the measured signs, and on success
+    tau0 = pi/(g*sqrt(delta)) with arrival amplitude
     sigma * exp(-i*tau0*theta0) as the phase.
     """
     exact = as_exact([th for th, _ in supported])
@@ -575,24 +555,13 @@ class _PhaseTerm:
 
 
 def _phase_terms(gdec, params, u, v) -> list:
-    """The amplitude (u,0) -> (v,0) as exponential terms, two per base eigenvalue.
-
-    Same closed form as `corona_transition_element`: theta contributes
-    F_theta[u,v]*(1 +/- x/L)/2 at mu = (theta + s + t +/- L)/2, where
-    x = theta - s + t and L is the pair gap (the top gap at theta = 2*r1).
-    """
-    _validate_base(gdec, params, 1e-8)
-    s, t = params.s, params.t
+    """The rows of `_amplitude_terms` as exact phase terms."""
     terms = []
-    for idx, theta, x, d in _base_pairs(gdec, params):
-        f = float(gdec.projectors[idx][u, v])
-        lam = math.sqrt(d)
+    for weight, a, d, sign in _amplitude_terms(gdec, params, u, v):
         if isinstance(d, int):
-            members = [(theta + s + t, 2, d, sg) for sg in (1, -1)]
+            terms.append(_PhaseTerm(weight, a, 2, d, sign))
         else:
-            members = [((theta + s + t + sg * lam) / 2.0).as_integer_ratio() for sg in (1, -1)]
-        for sg, mu in zip((1, -1), members):
-            terms.append(_PhaseTerm(f * (1 + sg * x / lam) / 2, *mu))
+            terms.append(_PhaseTerm(weight, *((a + sign * math.sqrt(d)) / 2.0).as_integer_ratio()))
     return terms
 
 
@@ -835,7 +804,7 @@ def _refutation(params: CoronaParams, u: int, v: int, integral: dict):
             return which, w, {"vertex": w, "witness": witness}
     for w in (u, v):
         per = corona_base_periodicity(params, integral[w], vertex=w)
-        if per.case != UNDECIDED and not per.periodic:
+        if not per.periodic:
             witness = {"vertex": w, "rule": per.basis, "witness": per.witness}
             return "nonperiodic-endpoint", w, witness
     return None

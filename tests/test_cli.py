@@ -199,6 +199,41 @@ def test_env_rejects_garbage(monkeypatch):
         build_config(args)
 
 
+CONFIG_CASES = [
+    ("tolerance", "1e-6", "1e-5", "tiny", "QWC_TOLERANCE='tiny'"),
+    ("cluster_tol", "1e-6", "1e-5", "tiny", "QWC_CLUSTER_TOL='tiny'"),
+    ("l_bound", "37", "21", "1e6", "QWC_L_BOUND='1e6'"),
+    ("epsilon", "0.5", "0.25", "tiny", "QWC_EPSILON='tiny'"),
+    ("t_max", "7.5", "3", "long", "QWC_T_MAX='long'"),
+    ("steps", "37", "21", "2.5", "QWC_STEPS='2.5'"),
+    # any string casts; the value check names the field
+    ("format", "csv", "json", "xml", "format must be json or csv, got 'xml'"),
+]
+
+
+@pytest.mark.parametrize(
+    "field, env, flag, garbage, error", CONFIG_CASES, ids=[case[0] for case in CONFIG_CASES]
+)
+def test_every_config_field_reads_env_and_flag(monkeypatch, field, env, flag, garbage, error):
+    cast = type(getattr(RunConfig(), field))
+    parser = build_parser()
+    plain = parser.parse_args(["spectrum", "K:2"])
+    flagged = parser.parse_args(["spectrum", "K:2", "--" + field.replace("_", "-"), flag])
+    name = "QWC_" + field.upper()
+    monkeypatch.setenv(name, env)
+    assert getattr(build_config(plain), field) == cast(env)
+    assert getattr(build_config(flagged), field) == cast(flag)
+    monkeypatch.setenv(name, garbage)
+    with pytest.raises(ValueError, match=error):
+        build_config(plain)
+
+
+def test_fidelity_grid_env_format_counts_as_explicit(monkeypatch, capsys):
+    monkeypatch.setenv("QWC_FORMAT", "json")
+    out = run_json(capsys, ["fidelity", "K:2", "0", "1", "--grid", "0:3.2:64"])
+    assert len(out["taus"]) == 64
+
+
 # =========================================================================
 # subcommands end to end
 # =========================================================================

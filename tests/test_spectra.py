@@ -17,7 +17,6 @@ from qwcorona.graphs import (
     signless_laplacian,
 )
 from qwcorona.spectra import (
-    amplitude,
     antipodal_identity_check,
     decompose,
     decompose_graph,
@@ -119,15 +118,9 @@ def test_transition_amplitude_scalar_and_vector():
     for k, tau in enumerate(taus):
         single = transition_amplitude(dec, 0, 2, float(tau))
         assert abs(vec[k] - single) < 1e-12
-
-
-def test_amplitude_wrapper():
-    dec = decompose_graph(complete_graph(2))
-    a = amplitude(dec, 0, 1, math.pi / 2)
     # K2: U(pi/2)_{01} = (e^{-i pi} - 1)/2 = -1
-    assert a.value == pytest.approx(-1.0, abs=1e-9)
-    assert a.fidelity == pytest.approx(1.0, abs=1e-12)
-    assert (a.source, a.target, a.time) == (0, 1, math.pi / 2)
+    k2 = decompose_graph(complete_graph(2))
+    assert transition_amplitude(k2, 0, 1, math.pi / 2) == pytest.approx(-1.0, abs=1e-9)
 
 
 def test_amplitude_at_zero_is_identity():

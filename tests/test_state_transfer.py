@@ -16,7 +16,7 @@ from qwcorona.graphs import (
     path_graph,
     signless_laplacian,
 )
-from qwcorona.spectra import decompose, fidelity_scan, transition_amplitude
+from qwcorona.spectra import decompose, eigenvalue_support, fidelity_scan, transition_amplitude
 from qwcorona.state_transfer import (
     NO_PST,
     PST,
@@ -147,6 +147,36 @@ def test_corona_base_float_support_falls_back():
     params = CoronaParams(n1=4, n2=1, r1=2, r2=0)
     rep = corona_base_periodicity(params, [4.0, 2.0 + 1e-3, 0.0])
     assert rep.case in ("refuted", UNDECIDED)
+
+
+@pytest.mark.parametrize("n, theta", [(5, (3 + math.sqrt(5)) / 2), (8, 2 + math.sqrt(2))])
+def test_corona_base_non_integral_support_refuted(n, theta):
+    # C:n~oK:1 has s = n - 1 and t = n - 1, so s != 2*r1 + t = n + 3
+    params = CoronaParams(n1=n, n2=1, r1=2, r2=0)
+    support = eigenvalue_support(dec_of(f"C:{n}"), 0)
+    rep = corona_base_periodicity(params, support, vertex=0)
+    assert (rep.periodic, rep.case, rep.basis) == (False, "refuted", "non-integral-base-eigenvalue")
+    assert rep.witness == pytest.approx(theta, abs=1e-9)
+
+
+def test_corona_base_balanced_non_integral_support_rejected():
+    # K2 with K:3 has s = 2*r1 + t = 5; K2's spectrum {2, 0} is integral
+    params = CoronaParams(n1=2, n2=3, r1=1, r2=2)
+    assert params.s == 2 * params.r1 + params.t
+    with pytest.raises(ValueError, match="integral spectrum"):
+        corona_base_periodicity(params, [2, 0.5])
+
+
+def test_balanced_corona_params_only_on_k2_or_edgeless_bases():
+    # s = 2*r1 + t needs n1 = 2 or r1 = 0, the premise of the
+    # non-integral-base-eigenvalue rule
+    for n1 in range(2, 30):
+        for n2 in range(1, 30):
+            t = n2 * (n1 - 1)
+            for r1 in range(n1):
+                for r2 in range(n2):
+                    if n1 + 2 * r2 - 1 == 2 * r1 + t:
+                        assert n1 == 2 or r1 == 0, (n1, n2, r1, r2)
 
 
 # =========================================================================
