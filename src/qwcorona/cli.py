@@ -16,7 +16,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .algebraic import InternalInvariantError, QuadExt, as_exact
+from .algebraic import DEFAULT_RECOGNITION_TOL, InternalInvariantError, QuadExt, as_exact
 from .corona_spectra import CoronaParams, corona_full_q, corona_spectrum
 from .graphs import (
     Graph,
@@ -25,8 +25,10 @@ from .graphs import (
     signless_laplacian,
     vertex_complemented_corona,
 )
-from .spectra import decompose, fidelity_scan, transition_amplitude
+from .spectra import DEFAULT_CLUSTER_TOL, decompose, fidelity_scan, transition_amplitude
 from .state_transfer import (
+    DEFAULT_EPSILON,
+    DEFAULT_L_BOUND,
     PST,
     UNDECIDED,
     PGSTSearchResult,
@@ -45,10 +47,10 @@ FORMATS = ("json", "csv")
 class RunConfig:
     """Numeric policy shared by all commands; flags beat env beats default."""
 
-    tolerance: float = 1e-9
-    cluster_tol: float = 1e-7
-    l_bound: int = 10**6
-    epsilon: float = 0.01
+    tolerance: float = DEFAULT_RECOGNITION_TOL
+    cluster_tol: float = DEFAULT_CLUSTER_TOL
+    l_bound: int = DEFAULT_L_BOUND
+    epsilon: float = DEFAULT_EPSILON
     t_max: float = 50.0
     steps: int = 2000
     format: str = "json"
@@ -64,7 +66,11 @@ class RunConfig:
 
 
 def build_config(args: argparse.Namespace) -> RunConfig:
-    """RunConfig from the QWC_<FIELD> variables and the flags of every field."""
+    """RunConfig from the QWC_<FIELD> variables and the flags of every field.
+
+    A variable whose value casts but fails RunConfig's check is named in
+    the error, unless a flag overrides it.
+    """
     values = {}
     for field in fields(RunConfig):
         name = ENV_PREFIX + field.name.upper()
@@ -80,6 +86,11 @@ def build_config(args: argparse.Namespace) -> RunConfig:
         flag = getattr(args, field.name, None)
         if flag is not None:
             values[field.name] = flag
+        elif env is not None:
+            try:
+                RunConfig(**{field.name: values[field.name]})
+            except ValueError as err:
+                raise ValueError(f"environment variable {name}={env!r}: {err}") from None
     cfg = RunConfig(**values)
     object.__setattr__(cfg, "_explicit_format", "format" in values)
     return cfg

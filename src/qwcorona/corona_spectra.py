@@ -26,9 +26,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebraic import InternalInvariantError, QuadExt, square_free_part
-from .graphs import Graph, is_connected, regular_degree, signless_laplacian
-from .spectra import SpectralDecomposition, strong_cospectrality
+from .algebraic import InternalInvariantError, QuadExt
+from .graphs import (
+    Graph,
+    is_connected,
+    regular_degree,
+    signless_laplacian,
+    vertex_complemented_corona,
+)
+from .spectra import DEFAULT_SUPPORT_TOL, SpectralDecomposition, strong_cospectrality
 
 INTEGRALITY_TOL = 1e-6
 # a factor's top eigenvalue must lie this close to 2*r; corona values this
@@ -155,10 +161,7 @@ def _base_pairs(gdec: SpectralDecomposition, params: CoronaParams) -> list:
 def _pair_values(a_sum: int | float, radicand):
     """Both members of a pair: QuadExt when the radicand is an exact integer."""
     if isinstance(radicand, int):
-        root, delta = square_free_part(radicand)
-        plus = QuadExt(a_sum, root, delta)
-        minus = QuadExt(a_sum, -root, delta)
-        return plus, minus
+        return QuadExt(a_sum, 1, radicand), QuadExt(a_sum, -1, radicand)
     root = math.sqrt(float(radicand))
     return (a_sum + root) / 2.0, (a_sum - root) / 2.0
 
@@ -188,7 +191,7 @@ class CoronaSpectrum:
     gdec: SpectralDecomposition
     hdec: SpectralDecomposition
 
-    def base_signs(self, u: int, v: int, tol: float = 1e-8):
+    def base_signs(self, u: int, v: int, tol: float = DEFAULT_SUPPORT_TOL):
         """Strong cospectrality of base vertices (u,0), (v,0), without projectors.
 
         Shift projectors vanish on base columns.  A pair or top entry of
@@ -378,18 +381,5 @@ def corona_transition_element(
 
 
 def corona_full_q(g: Graph, h: Graph) -> np.ndarray:
-    """Signless Laplacian of the corona assembled directly in block form.
-
-    Works for arbitrary (not necessarily regular) factors and must equal
-    signless_laplacian(vertex_complemented_corona(g, h)) entrywise.
-    """
-    n1, n2 = g.n, h.n
-    total = n1 * (1 + n2)
-    q = np.zeros((total, total))
-    q[:n1, :n1] = signless_laplacian(g) + (n1 - 1) * n2 * np.eye(n1)
-    copy_block = signless_laplacian(h) + (n1 - 1) * np.eye(n2)
-    join = np.kron(np.ones((n1, n1)) - np.eye(n1), np.ones((1, n2)))
-    q[:n1, n1:] = join
-    q[n1:, :n1] = join.T
-    q[n1:, n1:] = np.kron(np.eye(n1), copy_block)
-    return q
+    """Dense signless Laplacian of the corona, for arbitrary factors: the oracle."""
+    return signless_laplacian(vertex_complemented_corona(g, h))

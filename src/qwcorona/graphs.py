@@ -59,25 +59,8 @@ def regular_degree(g: Graph) -> int:
     return ref
 
 
-def is_regular(g: Graph) -> bool:
-    degs = g.degrees()
-    return bool(np.all(degs == degs[0]))
-
-
 def is_connected(g: Graph) -> bool:
-    n = g.n
-    seen = np.zeros(n, dtype=bool)
-    seen[0] = True
-    frontier = [0]
-    while frontier:
-        nxt = []
-        for u in frontier:
-            for v in g.neighbors(u):
-                if not seen[v]:
-                    seen[v] = True
-                    nxt.append(int(v))
-        frontier = nxt
-    return bool(seen.all())
+    return bool(np.all(_hop_distances(g, 0) >= 0))
 
 
 def signless_laplacian(g: Graph) -> np.ndarray:
@@ -197,27 +180,6 @@ def _positive(n: int, what: str) -> int:
 # corona products
 
 
-@dataclass(frozen=True)
-class CoronaVertex:
-    """Coordinates of a corona vertex: (base index, inner position).
-
-    ``inner`` is 0 for the base vertex itself and i+1 for vertex i of the
-    attached copy.
-    """
-
-    base: int
-    inner: int = 0
-
-    def index(self, n1: int, n2: int) -> int:
-        if not 0 <= self.base < n1:
-            raise ValueError(f"base index {self.base} out of range [0, {n1})")
-        if not 0 <= self.inner <= n2:
-            raise ValueError(f"inner position {self.inner} out of range [0, {n2}]")
-        if self.inner == 0:
-            return self.base
-        return n1 + self.base * n2 + (self.inner - 1)
-
-
 def vertex_complemented_corona(g: Graph, h: Graph) -> Graph:
     """Attach one copy of h per base vertex, joined to every other base vertex.
 
@@ -228,60 +190,31 @@ def vertex_complemented_corona(g: Graph, h: Graph) -> Graph:
     operations.
     """
     n1, n2 = g.n, h.n
-    total = n1 * (1 + n2)
-    a = np.zeros((total, total))
-    a[:n1, :n1] = g.adjacency
-    for i in range(n1):
-        lo = n1 + i * n2
-        hi = lo + n2
-        a[lo:hi, lo:hi] = h.adjacency
-        for j in range(n1):
-            if j != i:
-                a[j, lo:hi] = 1
-                a[lo:hi, j] = 1
+    join = np.kron(np.ones((n1, n1)) - np.eye(n1), np.ones((1, n2)))
+    a = np.block([[g.adjacency, join], [join.T, np.kron(np.eye(n1), h.adjacency)]])
     return Graph(a, name=f"corona({g.name or 'G'},{h.name or 'H'})")
-
-
-def standard_corona(g: Graph, h: Graph) -> Graph:
-    """Classical corona: copy i is joined to base vertex i only.
-
-    Same vertex order contract as vertex_complemented_corona.
-    """
-    n1, n2 = g.n, h.n
-    total = n1 * (1 + n2)
-    a = np.zeros((total, total))
-    a[:n1, :n1] = g.adjacency
-    for i in range(n1):
-        lo = n1 + i * n2
-        hi = lo + n2
-        a[lo:hi, lo:hi] = h.adjacency
-        a[i, lo:hi] = 1
-        a[lo:hi, i] = 1
-    return Graph(a, name=f"scorona({g.name or 'G'},{h.name or 'H'})")
 
 
 # ---------------------------------------------------------------------------
 # distances
 
 
+def _hop_distances(g: Graph, source: int) -> np.ndarray:
+    """Breadth-first hop distances from source; -1 when unreachable."""
+    dist = [-1] * g.n
+    dist[source] = 0
+    queue = [source]
+    for u in queue:
+        for v in g.neighbors(u).tolist():
+            if dist[v] < 0:
+                dist[v] = dist[u] + 1
+                queue.append(v)
+    return np.array(dist)
+
+
 def distance_matrix(g: Graph) -> np.ndarray:
-    """All-pairs hop distances via breadth-first search; -1 when unreachable."""
-    n = g.n
-    dist = np.full((n, n), -1, dtype=int)
-    for s in range(n):
-        dist[s, s] = 0
-        frontier = [s]
-        d = 0
-        while frontier:
-            d += 1
-            nxt = []
-            for u in frontier:
-                for v in g.neighbors(u):
-                    if dist[s, v] < 0:
-                        dist[s, v] = d
-                        nxt.append(int(v))
-            frontier = nxt
-    return dist
+    """All-pairs hop distances; -1 when unreachable."""
+    return np.array([_hop_distances(g, s) for s in range(g.n)])
 
 
 def diameter(g: Graph) -> int:

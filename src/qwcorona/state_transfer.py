@@ -46,6 +46,8 @@ from .corona_spectra import (
 )
 from .graphs import Graph, cocktail_party_graph, signless_laplacian
 from .spectra import (
+    DEFAULT_CLUSTER_TOL,
+    DEFAULT_SUPPORT_TOL,
     SpectralDecomposition,
     decompose,
     eigenvalue_support,
@@ -333,10 +335,10 @@ def k2_corona_no_pst(n2: int, r2: int) -> K2CoronaVerdict:
 
     For even n2 the answer is no transfer, imported from the literature
     and labeled as such.  For n2 = 1 or an odd prime the square-difference
-    analysis is re-run exactly: the two pair radicands x^2 + 4*n2 and
-    (x+2)^2 + 4*n2 with x = n2 - 2*r2 - 1 can never both be perfect
-    squares, so the endpoint is not even periodic.  Odd composite n2 is
-    outside both rules and stays undecided.
+    analysis is re-run exactly: the pair radicands at theta = 0 and at the
+    top, x^2 + 4*n2 and (x+2)^2 + 4*n2 with x = n2 - 2*r2 - 1, can never
+    both be perfect squares, so the endpoint is not even periodic.  Odd
+    composite n2 is outside both rules and stays undecided.
     """
     if n2 < 1:
         raise ValueError(f"attachment order must be positive, got {n2}")
@@ -351,10 +353,9 @@ def k2_corona_no_pst(n2: int, r2: int) -> K2CoronaVerdict:
             provenance="external-literature",
         )
     if n2 == 1 or _is_prime(n2):
-        x = n2 - 2 * r2 - 1
-        d0 = x * x + 4 * n2
-        d2 = (x + 2) ** 2 + 4 * n2
-        bad = [d for d in (d0, d2) if not is_perfect_square(d)]
+        params = CoronaParams(n1=2, n2=n2, r1=1, r2=r2)
+        radicands = (pair_radicand(params, 0), top_radicand(params))
+        bad = [d for d in radicands if not is_perfect_square(d)]
         if not bad:
             raise InternalInvariantError(
                 "both pair radicands are squares; impossible for odd prime order"
@@ -384,7 +385,7 @@ def pst_certify(
     dec: SpectralDecomposition,
     u: int,
     v: int,
-    tol: float = 1e-8,
+    tol: float = DEFAULT_SUPPORT_TOL,
 ) -> PSTReport:
     """Decide perfect transfer between u and v from a decomposition.
 
@@ -405,7 +406,7 @@ def corona_pst_certify(
     spectrum: CoronaSpectrum,
     u: int,
     v: int,
-    tol: float = 1e-8,
+    tol: float = DEFAULT_SUPPORT_TOL,
 ) -> PSTReport:
     """Decide perfect transfer between corona base vertices in closed form.
 
@@ -724,11 +725,12 @@ def pgst_cocktail(
     a single pendant-style vertex per base vertex, between an antipodal
     base pair.
 
-    Applicability for odd m > 2 splits on R = 4*(m-1)^2 + (2m-1)^2, the
-    top radicand over 4: branch one when R is a perfect square, branch two
-    when R is irrational with square-free part different from that of
-    (m-1)^2 + 1.  Both branches scan T = 2*pi*l for l in [1, l_bound] and
-    score candidates purely by fidelity.
+    Applicability for odd m > 2 splits on the top radicand
+    R = 4*(4*(m-1)^2 + (2m-1)^2): branch one when R is a perfect square,
+    branch two when R is irrational with square-free part different from
+    that of the pair radicand 4*((m-1)^2 + 1) at theta = 2m-2.  Both
+    branches scan T = 2*pi*l for l in [1, l_bound] and score candidates
+    purely by fidelity.
     """
     if m <= 2 or m % 2 == 0:
         raise ValueError(f"the cocktail party search needs an odd m greater than 2, got {m}")
@@ -737,8 +739,9 @@ def pgst_cocktail(
     if l_bound < 1:
         raise ValueError(f"l_bound must be at least 1, got {l_bound}")
 
-    r = 4 * (m - 1) ** 2 + (2 * m - 1) ** 2
-    c1 = (m - 1) ** 2 + 1
+    params = CoronaParams(n1=2 * m, n2=1, r1=2 * m - 2, r2=0)
+    r = top_radicand(params)
+    c1 = pair_radicand(params, 2 * m - 2)
     if is_perfect_square(r):
         basis = "rational-top-gap"
     elif square_free_part(r)[1] != square_free_part(c1)[1]:
@@ -755,7 +758,6 @@ def pgst_cocktail(
 
     g = cocktail_party_graph(m)
     gdec = decompose(signless_laplacian(g))
-    params = CoronaParams(n1=2 * m, n2=1, r1=2 * m - 2, r2=0)
     best_l, time, fid, achieved = _exact_phase_scan(
         _phase_terms(gdec, params, 0, 1),
         Fraction(1),
@@ -815,8 +817,8 @@ def corona_base_pst_check(
     h: Graph,
     u: int,
     v: int,
-    tol: float = 1e-8,
-    cluster_tol: float = 1e-7,
+    tol: float = DEFAULT_SUPPORT_TOL,
+    cluster_tol: float = DEFAULT_CLUSTER_TOL,
 ) -> PSTReport:
     """Full transfer decision between two base vertices of a corona.
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -199,22 +200,27 @@ def test_env_rejects_garbage(monkeypatch):
         build_config(args)
 
 
+# the last value casts but fails RunConfig's check
 CONFIG_CASES = [
-    ("tolerance", "1e-6", "1e-5", "tiny", "QWC_TOLERANCE='tiny'"),
-    ("cluster_tol", "1e-6", "1e-5", "tiny", "QWC_CLUSTER_TOL='tiny'"),
-    ("l_bound", "37", "21", "1e6", "QWC_L_BOUND='1e6'"),
-    ("epsilon", "0.5", "0.25", "tiny", "QWC_EPSILON='tiny'"),
-    ("t_max", "7.5", "3", "long", "QWC_T_MAX='long'"),
-    ("steps", "37", "21", "2.5", "QWC_STEPS='2.5'"),
+    ("tolerance", "1e-6", "1e-5", "tiny", "QWC_TOLERANCE='tiny'", "0"),
+    ("cluster_tol", "1e-6", "1e-5", "tiny", "QWC_CLUSTER_TOL='tiny'", "-0.001"),
+    ("l_bound", "37", "21", "1e6", "QWC_L_BOUND='1e6'", "0"),
+    ("epsilon", "0.5", "0.25", "tiny", "QWC_EPSILON='tiny'", "-1"),
+    ("t_max", "7.5", "3", "long", "QWC_T_MAX='long'", "0"),
+    ("steps", "37", "21", "2.5", "QWC_STEPS='2.5'", "-5"),
     # any string casts; the value check names the field
-    ("format", "csv", "json", "xml", "format must be json or csv, got 'xml'"),
+    ("format", "csv", "json", "xml", "format must be json or csv, got 'xml'", "xml"),
 ]
 
 
 @pytest.mark.parametrize(
-    "field, env, flag, garbage, error", CONFIG_CASES, ids=[case[0] for case in CONFIG_CASES]
+    "field, env, flag, garbage, error, invalid",
+    CONFIG_CASES,
+    ids=[case[0] for case in CONFIG_CASES],
 )
-def test_every_config_field_reads_env_and_flag(monkeypatch, field, env, flag, garbage, error):
+def test_every_config_field_reads_env_and_flag(
+    monkeypatch, field, env, flag, garbage, error, invalid
+):
     cast = type(getattr(RunConfig(), field))
     parser = build_parser()
     plain = parser.parse_args(["spectrum", "K:2"])
@@ -226,6 +232,17 @@ def test_every_config_field_reads_env_and_flag(monkeypatch, field, env, flag, ga
     monkeypatch.setenv(name, garbage)
     with pytest.raises(ValueError, match=error):
         build_config(plain)
+    # the value check names the variable, unless a flag beats it
+    monkeypatch.setenv(name, invalid)
+    prefix = f"environment variable {name}={invalid!r}: "
+    with pytest.raises(ValueError, match="^" + re.escape(prefix) + ".*" + field):
+        build_config(plain)
+    assert getattr(build_config(flagged), field) == cast(flag)
+    if field != "format":  # argparse's choices reject a bad --format
+        monkeypatch.delenv(name)
+        bad_flag = parser.parse_args(["spectrum", "K:2", "--" + field.replace("_", "-"), invalid])
+        with pytest.raises(ValueError, match=f"^(?!environment).*{field}"):
+            build_config(bad_flag)
 
 
 def test_fidelity_grid_env_format_counts_as_explicit(monkeypatch, capsys):

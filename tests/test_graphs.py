@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from qwcorona.graphs import (
-    CoronaVertex,
     Graph,
     cocktail_party_graph,
     complete_graph,
@@ -21,12 +20,10 @@ from qwcorona.graphs import (
     halved_cube_graph,
     hypercube_graph,
     is_connected,
-    is_regular,
     path_graph,
     read_edge_list,
     regular_degree,
     signless_laplacian,
-    standard_corona,
     vertex_complemented_corona,
 )
 
@@ -70,7 +67,7 @@ def test_complete_graph():
         g = complete_graph(n)
         assert g.n == n
         assert g.edge_count() == n * (n - 1) // 2
-        assert is_regular(g)
+        assert regular_degree(g) == n - 1
 
 
 def test_empty_graph():
@@ -86,7 +83,6 @@ def test_cycle_and_path():
         assert regular_degree(c) == 2
         p = path_graph(n)
         assert p.edge_count() == n - 1
-        assert not is_regular(p)
     with pytest.raises(ValueError):
         cycle_graph(2)
 
@@ -147,39 +143,25 @@ def test_regularity_error_names_vertex():
 # =========================================================================
 
 
-def test_corona_vertex_indexing():
-    # fixed order: base vertices first, then copy i at n1 + i*n2 + (j-1)
-    n1, n2 = 3, 4
-    seen = set()
-    for i in range(n1):
-        seen.add(CoronaVertex(i, 0).index(n1, n2))
-        for j in range(1, n2 + 1):
-            seen.add(CoronaVertex(i, j).index(n1, n2))
-    assert seen == set(range(n1 * (1 + n2)))
+# (order, edges) of each factor: one and two vertices, irregular paths, a cycle
+PATH5 = [(0, 1), (1, 2), (2, 3), (3, 4)]
+BASES = [(1, []), (2, [(0, 1)]), (5, PATH5), (5, PATH5 + [(4, 0)])]
+ATTACHMENTS = [(1, []), (3, []), (3, [(0, 1), (1, 2)]), (2, [(0, 1)])]
 
 
 def test_vertex_complemented_corona_structure():
-    g = cycle_graph(4)
-    h = complete_graph(2)
-    c = vertex_complemented_corona(g, h)
-    n1, n2 = g.n, h.n
-    assert c.n == n1 * (1 + n2)
-    # base block is G itself
-    assert np.array_equal(c.adjacency[:n1, :n1], g.adjacency)
-    # copy i joins every base vertex except v_i
-    for i in range(n1):
-        for j in range(n2):
-            row = c.adjacency[n1 + i * n2 + j, :n1]
-            expected = np.ones(n1)
-            expected[i] = 0
-            assert np.array_equal(row, expected)
-    # each copy is H internally, no edges between distinct copies
-    for i in range(n1):
-        lo, hi = n1 + i * n2, n1 + (i + 1) * n2
-        assert np.array_equal(c.adjacency[lo:hi, lo:hi], h.adjacency)
-        for k in range(i + 1, n1):
-            lo2, hi2 = n1 + k * n2, n1 + (k + 1) * n2
-            assert not c.adjacency[lo:hi, lo2:hi2].any()
+    for n1, g_edges in BASES:
+        for n2, h_edges in ATTACHMENTS:
+            # G on the base, H in each copy, copy i joined to every base j != i
+            edges = list(g_edges)
+            for i in range(n1):
+                lo = n1 + i * n2
+                edges += [(lo + a, lo + b) for a, b in h_edges]
+                edges += [(j, lo + k) for j in range(n1) if j != i for k in range(n2)]
+            expected = graph_from_edges(n1 * (1 + n2), edges)
+            g, h = graph_from_edges(n1, g_edges), graph_from_edges(n2, h_edges)
+            c = vertex_complemented_corona(g, h)
+            assert np.array_equal(c.adjacency, expected.adjacency), (n1, g_edges, n2, h_edges)
 
 
 def test_vertex_complemented_corona_degrees():
@@ -191,20 +173,6 @@ def test_vertex_complemented_corona_degrees():
     deg = c.degrees()
     assert all(deg[i] == 4 + 3 * (n1 - 1) for i in range(n1))
     assert all(deg[k] == 2 + (n1 - 1) for k in range(n1, c.n))
-
-
-def test_standard_corona_structure():
-    g = cycle_graph(4)
-    h = complete_graph(2)
-    c = standard_corona(g, h)
-    n1, n2 = g.n, h.n
-    # copy i joins exactly v_i
-    for i in range(n1):
-        for j in range(n2):
-            row = c.adjacency[n1 + i * n2 + j, :n1]
-            expected = np.zeros(n1)
-            expected[i] = 1
-            assert np.array_equal(row, expected)
 
 
 def test_corona_on_two_base_vertices():
