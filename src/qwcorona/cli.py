@@ -347,15 +347,13 @@ def cmd_check_pst(args, cfg: RunConfig) -> tuple:
     report = None
     if spec.is_corona and u < spec.g.n and v < spec.g.n:
         try:
-            report = corona_base_pst_check(
-                spec.g, spec.h, u, v, tol=cfg.tolerance, cluster_tol=cfg.cluster_tol
-            )
+            report = corona_base_pst_check(spec.g, spec.h, u, v, cfg.cluster_tol)
             mode = "corona-base"
         except ValueError:
             report = None
     if report is None:
         dec = decompose(signless_laplacian(spec.graph), cfg.cluster_tol)
-        report = pst_certify(dec, u, v, tol=cfg.tolerance)
+        report = pst_certify(dec, u, v)
     out = {"spec": spec.text, "mode": mode}
     out.update(vars(report))
     out["support"] = [_value_json(x) for x in report.support]
@@ -369,12 +367,11 @@ def cmd_search_pgst(args, cfg: RunConfig) -> tuple:
     spec = parse_spec(args.spec, args.file)
     note = None
     if spec.cocktail_m is not None:
-        if args.u is not None or args.v is not None:
-            got = (args.u, args.v)
-            if got != ("0", "1"):
-                raise ValueError(
-                    "the cocktail party search runs between the antipodal base pair 0 1"
-                )
+        given = [parse_address(a, spec) for a in (args.u, args.v) if a is not None]
+        if given and given != [0, 1]:
+            raise ValueError(
+                "the cocktail party search runs between the antipodal base pair 0 1"
+            )
         result = pgst_cocktail(spec.cocktail_m, cfg.epsilon, cfg.l_bound)
         mode = "cocktail"
     else:
@@ -391,7 +388,7 @@ def cmd_search_pgst(args, cfg: RunConfig) -> tuple:
             mode = "guaranteed"
         except ValueError as err:
             note = str(err)
-            base = pst_certify(gdec, u, v, tol=cfg.tolerance)
+            base = pst_certify(gdec, u, v)
             g_par = base.g if base.verdict == PST and base.g else 1
             best_l, time, fid, achieved = pgst_scan(
                 gdec, params, u, v, cfg.epsilon, cfg.l_bound, g_par

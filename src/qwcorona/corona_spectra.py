@@ -34,7 +34,7 @@ from .graphs import (
     signless_laplacian,
     vertex_complemented_corona,
 )
-from .spectra import DEFAULT_SUPPORT_TOL, SpectralDecomposition, strong_cospectrality
+from .spectra import SpectralDecomposition, strong_cospectrality
 
 INTEGRALITY_TOL = 1e-6
 # a factor's top eigenvalue must lie this close to 2*r; corona values this
@@ -191,7 +191,7 @@ class CoronaSpectrum:
     gdec: SpectralDecomposition
     hdec: SpectralDecomposition
 
-    def base_signs(self, u: int, v: int, tol: float = DEFAULT_SUPPORT_TOL):
+    def base_signs(self, u: int, v: int):
         """Strong cospectrality of base vertices (u,0), (v,0), without projectors.
 
         Shift projectors vanish on base columns.  A pair or top entry of
@@ -203,7 +203,7 @@ class CoronaSpectrum:
         (flag, values, signs) with one sign per distinct value, descending,
         in the shape of `strong_cospectrality`.
         """
-        flag, theta_signs = strong_cospectrality(self.gdec, u, v, tol)
+        flag, theta_signs = strong_cospectrality(self.gdec, u, v)
         merged = {}
         for e in self.entries:
             sg = 0 if e.kind == SHIFT else theta_signs[e.source_index]

@@ -140,10 +140,9 @@ def eigenvalue_support(dec: SpectralDecomposition, u: int) -> tuple:
     return tuple(out)
 
 
-def strong_cospectrality(
-    dec: SpectralDecomposition, u: int, v: int, tol: float = DEFAULT_SUPPORT_TOL
-):
-    """True iff every projector column satisfies F e_u = +/- F e_v.
+def strong_cospectrality(dec: SpectralDecomposition, u: int, v: int):
+    """True iff every projector column satisfies F e_u = +/- F e_v, entries
+    matched to within DEFAULT_SUPPORT_TOL (max norm).
 
     Returns (flag, signs) with one sign per eigenvalue: +1 or -1 for a
     matched nonzero column, 0 when F e_u vanishes.  A column that vanishes
@@ -156,8 +155,8 @@ def strong_cospectrality(
     for f in dec.projectors:
         x = f[:, u]
         y = f[:, v]
-        x_zero = float(np.max(np.abs(x))) <= tol
-        y_zero = float(np.max(np.abs(y))) <= tol
+        x_zero = float(np.max(np.abs(x))) <= DEFAULT_SUPPORT_TOL
+        y_zero = float(np.max(np.abs(y))) <= DEFAULT_SUPPORT_TOL
         if x_zero and y_zero:
             signs.append(0)
             continue
@@ -165,9 +164,9 @@ def strong_cospectrality(
             signs.append(0)
             flag = False
             continue
-        if float(np.max(np.abs(x - y))) <= tol:
+        if float(np.max(np.abs(x - y))) <= DEFAULT_SUPPORT_TOL:
             signs.append(1)
-        elif float(np.max(np.abs(x + y))) <= tol:
+        elif float(np.max(np.abs(x + y))) <= DEFAULT_SUPPORT_TOL:
             signs.append(-1)
         else:
             signs.append(0)

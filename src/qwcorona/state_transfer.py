@@ -35,6 +35,7 @@ from .algebraic import (
     square_free_part,
 )
 from .corona_spectra import (
+    MATCH_TOL,
     CoronaParams,
     CoronaSpectrum,
     _amplitude_terms,
@@ -47,7 +48,6 @@ from .corona_spectra import (
 from .graphs import Graph, cocktail_party_graph, signless_laplacian
 from .spectra import (
     DEFAULT_CLUSTER_TOL,
-    DEFAULT_SUPPORT_TOL,
     SpectralDecomposition,
     decompose,
     eigenvalue_support,
@@ -381,12 +381,7 @@ def k2_corona_no_pst(n2: int, r2: int) -> K2CoronaVerdict:
 # certification
 
 
-def pst_certify(
-    dec: SpectralDecomposition,
-    u: int,
-    v: int,
-    tol: float = DEFAULT_SUPPORT_TOL,
-) -> PSTReport:
+def pst_certify(dec: SpectralDecomposition, u: int, v: int) -> PSTReport:
     """Decide perfect transfer between u and v from a decomposition.
 
     Chain: strong cospectrality, exact recognition of the support, the
@@ -395,37 +390,29 @@ def pst_certify(
     minimum time is tau0 = pi/(g*sqrt(delta)) and the arrival amplitude
     sigma * exp(-i*tau0*theta0) is recorded as the phase.
     """
-    flag, signs = strong_cospectrality(dec, u, v, tol)
+    flag, signs = strong_cospectrality(dec, u, v)
     if not flag:
         return _not_strongly_cospectral(u, v, dec.eigenvalues, signs)
     supported = [(th, sg) for th, sg in zip(dec.eigenvalues, signs) if sg != 0]
     return _certify_support(u, v, supported)
 
 
-def corona_pst_certify(
-    spectrum: CoronaSpectrum,
-    u: int,
-    v: int,
-    tol: float = DEFAULT_SUPPORT_TOL,
-) -> PSTReport:
+def corona_pst_certify(spectrum: CoronaSpectrum, u: int, v: int) -> PSTReport:
     """Decide perfect transfer between corona base vertices in closed form.
 
     Same chain as `pst_certify`, fed by `CoronaSpectrum.base_signs` instead
     of dense corona projectors, so the cost is that of the factor
-    decompositions.  Exact values skip recognition.  Float values (from
-    non-integral base eigenvalues) are never merged by tolerance: two
-    supported values within tol of each other, one of them a float, give
-    undecided-numeric.  So tol bounds both the projector entries matched
-    by `strong_cospectrality` and the eigenvalue gap below which two
-    supported values count as an unresolved coincidence.
+    decompositions.  Exact values skip recognition.  Two supported values
+    within MATCH_TOL of each other, one of them a float, give
+    undecided-numeric.
     """
-    flag, values, signs = spectrum.base_signs(u, v, tol)
+    flag, values, signs = spectrum.base_signs(u, v)
     if not flag:
         return _not_strongly_cospectral(u, v, [float(x) for x in values], signs)
     supported = [(x, sg) for x, sg in zip(values, signs) if sg != 0]
     for (x, _), (y, _) in zip(supported, supported[1:]):
         exact = isinstance(x, QuadExt) and isinstance(y, QuadExt)
-        if not exact and float(x) - float(y) <= tol:
+        if not exact and float(x) - float(y) <= MATCH_TOL:
             return PSTReport(
                 u=u,
                 v=v,
@@ -817,7 +804,6 @@ def corona_base_pst_check(
     h: Graph,
     u: int,
     v: int,
-    tol: float = DEFAULT_SUPPORT_TOL,
     cluster_tol: float = DEFAULT_CLUSTER_TOL,
 ) -> PSTReport:
     """Full transfer decision between two base vertices of a corona.
@@ -827,8 +813,6 @@ def corona_base_pst_check(
     split.  Only if all of those pass (or do not apply) is H decomposed and
     the closed-form spectrum handed to `corona_pst_certify`.  No matrix
     larger than max(n1, n2) is built; the dense corona is a test oracle.
-    tol is passed on to the certifier, where it also acts as the
-    eigenvalue separation threshold for float-valued support.
     """
     params = CoronaParams.from_graphs(g, h)
     if u == v or not (0 <= u < params.n1 and 0 <= v < params.n1):
@@ -851,4 +835,4 @@ def corona_base_pst_check(
             )
 
     hdec = decompose(signless_laplacian(h), cluster_tol)
-    return corona_pst_certify(corona_spectrum(gdec, hdec, params), u, v, tol)
+    return corona_pst_certify(corona_spectrum(gdec, hdec, params), u, v)

@@ -393,9 +393,19 @@ def test_search_pgst_cocktail(capsys):
 
 
 def test_search_pgst_cocktail_rejects_other_pairs(capsys):
-    code, _, err = run(capsys, ["search-pgst", "cocktail-corona:3", "0", "2"])
-    assert code == 2
-    assert "antipodal" in err
+    for pair in (["0", "2"], ["1", "0"], ["0"], ["base:1", "base:0"]):
+        code, _, err = run(capsys, ["search-pgst", "cocktail-corona:3", *pair])
+        assert code == 2
+        assert err == "error: the cocktail party search runs between the antipodal base pair 0 1\n"
+
+
+@pytest.mark.parametrize("pair", [["0", "1"], ["base:0", "base:1"], [" 0", "base:1"]])
+def test_search_pgst_cocktail_accepts_any_address_of_the_pair(capsys, pair):
+    argv = ["search-pgst", "cocktail-corona:3"]
+    _, want, _ = run(capsys, argv + ["--l-bound", "3000"])
+    code, out, err = run(capsys, argv + pair + ["--l-bound", "3000"])
+    assert (code, err) == (0, "")
+    assert out == want
 
 
 def test_search_pgst_guaranteed(capsys):
@@ -426,6 +436,23 @@ def test_search_pgst_rational_pair_gap_falls_back(capsys):
     assert out["mode"] == "heuristic"
     assert out["basis"] == "heuristic-search"
     assert "sqrt(4)" in out["note"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check-pst", "CP:4", "0", "1"],
+        ["check-pst", "corona(K:2,K:1)", "copy:0:0", "copy:1:0"],
+        ["search-pgst", "corona(HQ:3,K:1)", "0", "7", "--l-bound", "50"],
+    ],
+)
+def test_recognition_tolerance_leaves_transfer_decisions_alone(capsys, argv):
+    # --tolerance is the eigenvalue-recognition knob of `spectrum`; projector
+    # entries are matched to the library's fixed DEFAULT_SUPPORT_TOL
+    code, want, _ = run(capsys, argv)
+    assert code == 0
+    for tolerance in ("1e-20", "1e-3"):
+        assert run(capsys, argv + ["--tolerance", tolerance]) == (0, want, "")
 
 
 def test_python_dash_m_runs_the_cli():
