@@ -4,7 +4,8 @@ Output is machine-readable and reproducible: JSON by default (floats
 rendered with 12 significant digits, byte-identical across runs), CSV for
 grid data.  Exit codes: 0 when a verdict was produced (a negative verdict
 included), 2 on parse or precondition errors, 3 when the answer is
-undecided-numeric, 4 when an internal invariant fails (a bug).
+undecided-numeric (generic mode only; corona base pairs are decided
+exactly), 4 when an internal invariant fails (a bug).
 """
 from __future__ import annotations
 
@@ -25,7 +26,7 @@ from .graphs import (
     signless_laplacian,
     vertex_complemented_corona,
 )
-from .spectra import DEFAULT_CLUSTER_TOL, decompose, fidelity_scan, transition_amplitude
+from .spectra import decompose, fidelity_scan, transition_amplitude
 from .state_transfer import (
     DEFAULT_EPSILON,
     DEFAULT_L_BOUND,
@@ -48,7 +49,6 @@ class RunConfig:
     """Numeric policy shared by all commands; flags beat env beats default."""
 
     tolerance: float = DEFAULT_RECOGNITION_TOL
-    cluster_tol: float = DEFAULT_CLUSTER_TOL
     l_bound: int = DEFAULT_L_BOUND
     epsilon: float = DEFAULT_EPSILON
     t_max: float = 50.0
@@ -56,7 +56,7 @@ class RunConfig:
     format: str = "json"
 
     def __post_init__(self) -> None:
-        for field in ("tolerance", "cluster_tol", "epsilon", "t_max"):
+        for field in ("tolerance", "epsilon", "t_max"):
             if getattr(self, field) <= 0:
                 raise ValueError(f"{field} must be positive, got {getattr(self, field)}")
         if self.l_bound <= 0 or self.steps <= 0:
@@ -252,7 +252,7 @@ def _value_json(v):
 
 def cmd_spectrum(args, cfg: RunConfig) -> tuple:
     spec = parse_spec(args.spec, args.file)
-    dec = decompose(signless_laplacian(spec.graph), cfg.cluster_tol)
+    dec = decompose(signless_laplacian(spec.graph))
     if cfg.format == "csv":
         lines = ["value,multiplicity"]
         for val, mult in zip(dec.eigenvalues, dec.multiplicities):
@@ -282,11 +282,11 @@ def cmd_corona_spectrum(args, cfg: RunConfig) -> tuple:
     gspec = parse_spec(args.g_spec)
     hspec = parse_spec(args.h_spec)
     params = CoronaParams.from_graphs(gspec.graph, hspec.graph)
-    gdec = decompose(signless_laplacian(gspec.graph), cfg.cluster_tol)
-    hdec = decompose(signless_laplacian(hspec.graph), cfg.cluster_tol)
+    gdec = decompose(signless_laplacian(gspec.graph))
+    hdec = decompose(signless_laplacian(hspec.graph))
     spectrum = corona_spectrum(gdec, hdec, params)
 
-    oracle = decompose(corona_full_q(gspec.graph, hspec.graph), cfg.cluster_tol)
+    oracle = decompose(corona_full_q(gspec.graph, hspec.graph))
     closed_sorted = np.sort(
         np.repeat(
             [float(e.value) for e in spectrum.entries],
@@ -347,12 +347,12 @@ def cmd_check_pst(args, cfg: RunConfig) -> tuple:
     report = None
     if spec.is_corona and u < spec.g.n and v < spec.g.n:
         try:
-            report = corona_base_pst_check(spec.g, spec.h, u, v, cfg.cluster_tol)
+            report = corona_base_pst_check(spec.g, spec.h, u, v)
             mode = "corona-base"
         except ValueError:
             report = None
     if report is None:
-        dec = decompose(signless_laplacian(spec.graph), cfg.cluster_tol)
+        dec = decompose(signless_laplacian(spec.graph))
         report = pst_certify(dec, u, v)
     out = {"spec": spec.text, "mode": mode}
     out.update(vars(report))
@@ -382,7 +382,7 @@ def cmd_search_pgst(args, cfg: RunConfig) -> tuple:
         u = _base_index(args.u, spec)
         v = _base_index(args.v, spec)
         params = CoronaParams.from_graphs(spec.g, spec.h)
-        gdec = decompose(signless_laplacian(spec.g), cfg.cluster_tol)
+        gdec = decompose(signless_laplacian(spec.g))
         try:
             result = pgst_time_search(gdec, params, u, v, cfg.epsilon, cfg.l_bound)
             mode = "guaranteed"
@@ -423,7 +423,7 @@ def cmd_fidelity(args, cfg: RunConfig) -> tuple:
     spec = parse_spec(args.spec, args.file)
     u = parse_address(args.u, spec)
     v = parse_address(args.v, spec)
-    dec = decompose(signless_laplacian(spec.graph), cfg.cluster_tol)
+    dec = decompose(signless_laplacian(spec.graph))
     if args.tau is not None:
         amp = transition_amplitude(dec, u, v, float(args.tau))
         out = {

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebraic import InternalInvariantError, QuadExt
+from .algebraic import DEFAULT_RECOGNITION_TOL, InternalInvariantError, QuadExt
 from .graphs import (
     Graph,
     is_connected,
@@ -36,7 +36,6 @@ from .graphs import (
 )
 from .spectra import SpectralDecomposition, strong_cospectrality
 
-INTEGRALITY_TOL = 1e-6
 # a factor's top eigenvalue must lie this close to 2*r; corona values this
 # close merge into one eigenspace in `as_decomposition`
 MATCH_TOL = 1e-8
@@ -132,7 +131,7 @@ class CoronaEigenvalue:
 
 def _as_int(x: float) -> int | None:
     r = round(float(x))
-    if abs(float(x) - r) <= INTEGRALITY_TOL:
+    if abs(float(x) - r) <= DEFAULT_RECOGNITION_TOL:
         return int(r)
     return None
 
@@ -142,7 +141,8 @@ def _base_pairs(gdec: SpectralDecomposition, params: CoronaParams) -> list:
 
     x = theta - s + t and D is the squared pair gap x^2 + 4*n2, or
     `top_radicand` at the top, where theta is 2*r1.  theta and D are ints
-    when theta lies within INTEGRALITY_TOL of an integer, floats otherwise.
+    when theta lies within DEFAULT_RECOGNITION_TOL of an integer, floats
+    otherwise.
     """
     s, t = params.s, params.t
     top = 2 * params.r1

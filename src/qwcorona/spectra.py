@@ -46,21 +46,19 @@ class SpectralDecomposition:
         return out
 
 
-def decompose(q: np.ndarray, cluster_tol: float = DEFAULT_CLUSTER_TOL) -> SpectralDecomposition:
+def decompose(q: np.ndarray) -> SpectralDecomposition:
     """Eigendecompose a symmetric matrix, merging eigenvalues within tolerance.
 
-    An eigenvalue joins a cluster when it lies within cluster_tol of the
-    cluster's largest member; the threshold is absolute, not scaled by the
-    spectral norm of q.  When two clusters sit closer than ten times
-    cluster_tol a warning string is attached to the result.
+    An eigenvalue joins a cluster when it lies within DEFAULT_CLUSTER_TOL
+    of the cluster's largest member; the threshold is absolute, not scaled
+    by the spectral norm of q.  When two clusters sit closer than ten times
+    DEFAULT_CLUSTER_TOL a warning string is attached to the result.
     """
     q = np.asarray(q, dtype=float)
     if q.ndim != 2 or q.shape[0] != q.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {q.shape}")
     if not np.allclose(q, q.T, atol=1e-10):
         raise ValueError("expected a symmetric matrix")
-    if cluster_tol <= 0:
-        raise ValueError(f"cluster_tol must be positive, got {cluster_tol}")
 
     vals, vecs = np.linalg.eigh(q)
 
@@ -72,7 +70,7 @@ def decompose(q: np.ndarray, cluster_tol: float = DEFAULT_CLUSTER_TOL) -> Spectr
     clusters = []
     start = 0
     for i in range(1, len(vals)):
-        if vals[start] - vals[i] > cluster_tol:
+        if vals[start] - vals[i] > DEFAULT_CLUSTER_TOL:
             clusters.append((start, i))
             start = i
     clusters.append((start, len(vals)))
@@ -92,11 +90,11 @@ def decompose(q: np.ndarray, cluster_tol: float = DEFAULT_CLUSTER_TOL) -> Spectr
     warnings = []
     for k in range(1, len(eigenvalues)):
         gap = eigenvalues[k - 1] - eigenvalues[k]
-        if gap < GAP_WARNING_FACTOR * cluster_tol:
+        if gap < GAP_WARNING_FACTOR * DEFAULT_CLUSTER_TOL:
             warnings.append(
                 f"clusters {eigenvalues[k - 1]:.12g} and {eigenvalues[k]:.12g} "
                 f"are separated by {gap:.3e}, below {GAP_WARNING_FACTOR:g}x the "
-                f"clustering threshold {cluster_tol:.3e}"
+                f"clustering threshold {DEFAULT_CLUSTER_TOL:.3e}"
             )
 
     return SpectralDecomposition(

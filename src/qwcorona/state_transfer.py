@@ -35,7 +35,6 @@ from .algebraic import (
     square_free_part,
 )
 from .corona_spectra import (
-    MATCH_TOL,
     CoronaParams,
     CoronaSpectrum,
     _amplitude_terms,
@@ -47,7 +46,6 @@ from .corona_spectra import (
 )
 from .graphs import Graph, cocktail_party_graph, signless_laplacian
 from .spectra import (
-    DEFAULT_CLUSTER_TOL,
     SpectralDecomposition,
     decompose,
     eigenvalue_support,
@@ -386,15 +384,29 @@ def pst_certify(dec: SpectralDecomposition, u: int, v: int) -> PSTReport:
 
     Chain: strong cospectrality, exact recognition of the support, the
     common half-integer form with square-free delta, and the parity
-    classification against the measured projector signs.  On success the
-    minimum time is tau0 = pi/(g*sqrt(delta)) and the arrival amplitude
+    classification against the measured projector signs.  The support is
+    recognized as one list: a float surd is read from its conjugate, which
+    a support of an integer matrix always holds; a value left unrecognized
+    gives undecided-numeric.  On success the minimum time is
+    tau0 = pi/(g*sqrt(delta)) and the arrival amplitude
     sigma * exp(-i*tau0*theta0) is recorded as the phase.
     """
     flag, signs = strong_cospectrality(dec, u, v)
     if not flag:
         return _not_strongly_cospectral(u, v, dec.eigenvalues, signs)
     supported = [(th, sg) for th, sg in zip(dec.eigenvalues, signs) if sg != 0]
-    return _certify_support(u, v, supported)
+    exact = as_exact([th for th, _ in supported])
+    if None in exact:
+        return PSTReport(
+            u=u,
+            v=v,
+            verdict=UNDECIDED,
+            basis="unrecognized-eigenvalues",
+            strongly_cospectral=True,
+            support=tuple(float(w) for w, _ in supported),
+            refutation_witness=float(supported[exact.index(None)][0]),
+        )
+    return _certify_support(u, v, [(e, sg) for e, (_, sg) in zip(exact, supported)])
 
 
 def corona_pst_certify(spectrum: CoronaSpectrum, u: int, v: int) -> PSTReport:
@@ -402,27 +414,34 @@ def corona_pst_certify(spectrum: CoronaSpectrum, u: int, v: int) -> PSTReport:
 
     Same chain as `pst_certify`, fed by `CoronaSpectrum.base_signs` instead
     of dense corona projectors, so the cost is that of the factor
-    decompositions.  Exact values skip recognition.  Two supported values
-    within MATCH_TOL of each other, one of them a float, give
-    undecided-numeric.
+    decompositions, and no value is recognized from a float.  A supported
+    value that is not a QuadExt comes from a non-integral theta in G's
+    support of u, which makes (u,0) nonperiodic (`corona_base_periodicity`),
+    so the pair has no PST (Godsil, "Periodic graphs", 2011); the verdict
+    is no-PST with that function's witness.  Every other support is exact.
     """
     flag, values, signs = spectrum.base_signs(u, v)
     if not flag:
         return _not_strongly_cospectral(u, v, [float(x) for x in values], signs)
     supported = [(x, sg) for x, sg in zip(values, signs) if sg != 0]
-    for (x, _), (y, _) in zip(supported, supported[1:]):
-        exact = isinstance(x, QuadExt) and isinstance(y, QuadExt)
-        if not exact and float(x) - float(y) <= MATCH_TOL:
-            return PSTReport(
-                u=u,
-                v=v,
-                verdict=UNDECIDED,
-                basis="unresolved-coincidence",
-                strongly_cospectral=True,
-                support=tuple(float(w) for w, _ in supported),
-                refutation_witness=[float(x), float(y)],
-            )
-    return _certify_support(u, v, supported)
+    if all(isinstance(x, QuadExt) for x, _ in supported):
+        return _certify_support(u, v, supported)
+    base_support = eigenvalue_support(spectrum.gdec, u)
+    per = corona_base_periodicity(spectrum.params, base_support, vertex=u)
+    if per.basis != "non-integral-base-eigenvalue":
+        raise InternalInvariantError(
+            f"a float corona value is supported at {u}, but the base support "
+            f"{list(base_support)} gives {per.basis}"
+        )
+    return PSTReport(
+        u=u,
+        v=v,
+        verdict=NO_PST,
+        basis="nonperiodic-endpoint",
+        strongly_cospectral=True,
+        support=tuple(x for x, _ in supported),
+        refutation_witness={"vertex": u, "rule": per.basis, "witness": per.witness},
+    )
 
 
 def _not_strongly_cospectral(u, v, eigenvalues, signs) -> PSTReport:
@@ -437,28 +456,13 @@ def _not_strongly_cospectral(u, v, eigenvalues, signs) -> PSTReport:
 
 
 def _certify_support(u, v, supported) -> PSTReport:
-    """Exact tail shared by both certifiers, on (eigenvalue, sign) pairs.
+    """Exact tail shared by both certifiers, on (QuadExt, sign) pairs.
 
-    Recognition of the supported values as one list (QuadExt values pass
-    through; a float surd is read from its conjugate, which a support of
-    an integer matrix always holds), the common half-integer form, the
-    parity classification against the measured signs, and on success
-    tau0 = pi/(g*sqrt(delta)) with arrival amplitude
-    sigma * exp(-i*tau0*theta0) as the phase.
+    The common half-integer form, the parity classification against the
+    measured signs, and on success tau0 = pi/(g*sqrt(delta)) with arrival
+    amplitude sigma * exp(-i*tau0*theta0) as the phase.
     """
-    exact = as_exact([th for th, _ in supported])
-    for (th, _), e in zip(supported, exact):
-        if e is None:
-            return PSTReport(
-                u=u,
-                v=v,
-                verdict=UNDECIDED,
-                basis="unrecognized-eigenvalues",
-                strongly_cospectral=True,
-                support=tuple(float(w) for w, _ in supported),
-                refutation_witness=float(th),
-            )
-
+    exact = [e for e, _ in supported]
     try:
         cls = classify_support(exact)
     except (InvalidSupportError, ValueError) as err:
@@ -475,7 +479,7 @@ def _certify_support(u, v, supported) -> PSTReport:
     # measured sign times predicted parity sign must be constant
     plus = set(cls.lambda_plus)
     reference = None
-    for (th, sg), e in zip(supported, exact):
+    for e, sg in supported:
         predicted = 1 if e in plus else -1
         prod = sg * predicted
         if reference is None:
@@ -799,25 +803,20 @@ def _refutation(params: CoronaParams, u: int, v: int, integral: dict):
     return None
 
 
-def corona_base_pst_check(
-    g: Graph,
-    h: Graph,
-    u: int,
-    v: int,
-    cluster_tol: float = DEFAULT_CLUSTER_TOL,
-) -> PSTReport:
+def corona_base_pst_check(g: Graph, h: Graph, u: int, v: int) -> PSTReport:
     """Full transfer decision between two base vertices of a corona.
 
     Cheap exact refutations run first on the base supports: the size
     bound, the two-vertex-base rules, the gap rules, then the periodicity
     split.  Only if all of those pass (or do not apply) is H decomposed and
-    the closed-form spectrum handed to `corona_pst_certify`.  No matrix
+    the closed-form spectrum handed to `corona_pst_certify`, which refutes
+    a non-integral base support once strong cospectrality holds.  No matrix
     larger than max(n1, n2) is built; the dense corona is a test oracle.
     """
     params = CoronaParams.from_graphs(g, h)
     if u == v or not (0 <= u < params.n1 and 0 <= v < params.n1):
         raise ValueError(f"need two distinct base vertices below {params.n1}")
-    gdec = decompose(signless_laplacian(g), cluster_tol)
+    gdec = decompose(signless_laplacian(g))
     supports = {w: eigenvalue_support(gdec, w) for w in (u, v)}
     integral = {w: _integral_support(sup) for w, sup in supports.items()}
 
@@ -834,5 +833,5 @@ def corona_base_pst_check(
                 refutation_witness=witness,
             )
 
-    hdec = decompose(signless_laplacian(h), cluster_tol)
+    hdec = decompose(signless_laplacian(h))
     return corona_pst_certify(corona_spectrum(gdec, hdec, params), u, v)

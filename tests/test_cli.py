@@ -203,7 +203,6 @@ def test_env_rejects_garbage(monkeypatch):
 # the last value casts but fails RunConfig's check
 CONFIG_CASES = [
     ("tolerance", "1e-6", "1e-5", "tiny", "QWC_TOLERANCE='tiny'", "0"),
-    ("cluster_tol", "1e-6", "1e-5", "tiny", "QWC_CLUSTER_TOL='tiny'", "-0.001"),
     ("l_bound", "37", "21", "1e6", "QWC_L_BOUND='1e6'", "0"),
     ("epsilon", "0.5", "0.25", "tiny", "QWC_EPSILON='tiny'", "-1"),
     ("t_max", "7.5", "3", "long", "QWC_T_MAX='long'", "0"),
@@ -456,8 +455,8 @@ def test_recognition_tolerance_leaves_transfer_decisions_alone(capsys, argv):
 
 
 def test_python_dash_m_runs_the_cli():
-    # antipodal cycle pair: strongly cospectral, support outside the
-    # quadratic lattice, so undecided with exit code 3
+    # antipodal cycle pair: strongly cospectral, and the non-integral cycle
+    # eigenvalue in the support refutes periodicity, so no-PST with exit 0
     src = Path(qwcorona.__file__).resolve().parents[1]
     env = dict(os.environ)
     env["PYTHONPATH"] = str(src) + os.pathsep + env.get("PYTHONPATH", "")
@@ -468,8 +467,21 @@ def test_python_dash_m_runs_the_cli():
         env=env,
         timeout=120,
     )
-    assert proc.returncode == 3, proc.stderr
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout)
+    assert (out["verdict"], out["basis"]) == ("no-PST", "nonperiodic-endpoint")
     assert '"strongly_cospectral": true' in proc.stdout
+
+
+def test_cluster_tolerance_is_not_configurable(monkeypatch, capsys):
+    # the clustering threshold is the library's DEFAULT_CLUSTER_TOL; a
+    # stray QWC_CLUSTER_TOL is ignored and --cluster-tol is not a flag
+    monkeypatch.setenv("QWC_CLUSTER_TOL", "2.5")
+    out = run_json(capsys, ["check-pst", "CP:4", "0", "1"])
+    assert out["verdict"] == "PST"
+    code, _, err = run(capsys, ["check-pst", "CP:4", "0", "1", "--cluster-tol", "2.5"])
+    assert code == 2
+    assert "--cluster-tol" in err
 
 
 def test_search_pgst_needs_base_vertices(capsys):

@@ -10,10 +10,12 @@ from __future__ import annotations
 
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from qwcorona import (
     CoronaParams,
+    InternalInvariantError,
     QuadExt,
     corona_base_pst_check,
     corona_full_q,
@@ -75,7 +77,11 @@ def _same_support(a, b):
 
 
 def test_closed_form_certifier_matches_dense_oracle():
+    # the closed form refutes a non-integral base support exactly, where
+    # the dense oracle cannot recognize the float support; every other
+    # verdict is the same
     cases = _grid()
+    refuted_exactly = 0
     for gspec, hspec, u, v in cases:
         g, h = generate(gspec), generate(hspec)
         assert g.n * (1 + h.n) <= MAX_N
@@ -86,14 +92,17 @@ def test_closed_form_certifier_matches_dense_oracle():
         closed_values = spectrum.base_signs(u, v)[1]
         label = (gspec, hspec, u, v)
         assert len(oracle_dec.eigenvalues) == len(closed_values), label
-        assert (got.verdict, got.basis, got.strongly_cospectral) == (
-            want.verdict,
-            want.basis,
-            want.strongly_cospectral,
-        ), label
+        assert got.strongly_cospectral == want.strongly_cospectral, label
+        if (want.verdict, want.basis) == (UNDECIDED, "unrecognized-eigenvalues"):
+            assert (got.verdict, got.basis) == (NO_PST, "nonperiodic-endpoint"), label
+            assert _same_support([float(x) for x in got.support], want.support), label
+            refuted_exactly += 1
+            continue
+        assert (got.verdict, got.basis) == (want.verdict, want.basis), label
         assert _same_support(got.support, want.support), label
         assert (got.delta, got.g, got.tau0) == (want.delta, want.g, want.tau0), label
     assert len(cases) == 178
+    assert refuted_exactly == 13
 
 
 def test_dense_certifier_reads_large_radicands():
@@ -114,11 +123,18 @@ def test_dense_certifier_reads_large_radicands():
 def test_antipodal_pairs_merged_by_dense_clustering(gspec, hspec, u, v):
     # a dense decomposition with a norm-scaled clustering threshold merged
     # pair-minus values here and lost strong cospectrality; the closed form
-    # keeps it, and the non-quadratic cycle support leaves the verdict open
-    rep = corona_base_pst_check(generate(gspec), generate(hspec), u, v)
+    # keeps it, and the non-integral cycle eigenvalue in the support
+    # refutes periodicity of the endpoint
+    g = generate(gspec)
+    rep = corona_base_pst_check(g, generate(hspec), u, v)
     assert rep.strongly_cospectral is True
-    assert rep.verdict == UNDECIDED
-    assert rep.basis == "unrecognized-eigenvalues"
+    assert (rep.verdict, rep.basis) == (NO_PST, "nonperiodic-endpoint")
+    witness = rep.refutation_witness
+    assert witness["rule"] == "non-integral-base-eigenvalue"
+    theta = witness["witness"]
+    assert abs(theta - round(theta)) > 1e-3
+    spectrum = np.linalg.eigvalsh(signless_laplacian(g))
+    assert np.min(np.abs(spectrum - theta)) < 1e-9
 
 
 def test_shift_value_merges_exactly_with_top_minus():
@@ -181,12 +197,80 @@ def test_opposite_signs_on_one_value_break_strong_cospectrality():
     assert corona_pst_certify(spec, 0, 1).basis == "not-strongly-cospectral"
 
 
-def test_close_float_values_are_left_undecided():
-    # a float within tol of a supported exact value is neither merged nor
-    # kept apart
+def test_float_value_over_integral_base_support_is_an_invariant_error():
+    # K2 ~o K3 has an integral base support, so every supported corona
+    # value is exact; a float one cannot come from the closed form
     spec = _with_top_minus(_spectrum("K:2", "K:3"), 6.0 + 1e-10)
-    rep = corona_pst_certify(spec, 0, 1)
-    assert rep.verdict == UNDECIDED
-    assert rep.basis == "unresolved-coincidence"
-    assert rep.strongly_cospectral is True
-    assert rep.refutation_witness == [6.0 + 1e-10, 6.0]
+    with pytest.raises(InternalInvariantError, match="float corona value"):
+        corona_pst_certify(spec, 0, 1)
+
+
+PROBE_BASES = [f"C:{n}" for n in range(5, 17)] + ["K:2", "K:4", "CP:3", "HQ:3"]
+PROBE_ATTACHMENTS = ("K:1", "K:3", "empty:2", "C:5", "CP:2")
+
+
+def _probe_grid():
+    """Base pairs (0, 1) and (0, n1/2) over a thinned base x attachment grid."""
+    cases = []
+    for gspec in PROBE_BASES:
+        n1 = generate(gspec).n
+        for hspec in PROBE_ATTACHMENTS:
+            cases += [(gspec, hspec, 0, v) for v in sorted({1, n1 // 2})]
+    return cases
+
+
+def test_probe_grid_has_no_undecided_verdict():
+    # every antipodal even-cycle pair is strongly cospectral and refuted by
+    # a non-integral theta in its support; nothing is left undecided
+    refuted = 0
+    for gspec, hspec, u, v in _probe_grid():
+        rep = corona_base_pst_check(generate(gspec), generate(hspec), u, v)
+        label = (gspec, hspec, u, v)
+        assert rep.verdict != UNDECIDED, label
+        n1 = generate(gspec).n
+        # C:4 and C:6 have integral spectra and stop at the size bound
+        if gspec.startswith("C:") and n1 % 2 == 0 and n1 > 6 and v == n1 // 2:
+            assert rep.strongly_cospectral is True, label
+            assert (rep.verdict, rep.basis) == (NO_PST, "nonperiodic-endpoint"), label
+            assert rep.refutation_witness["rule"] == "non-integral-base-eigenvalue", label
+            refuted += 1
+    assert refuted == 5 * len(PROBE_ATTACHMENTS)
+
+
+def test_corona_route_recognizes_no_float(monkeypatch):
+    # corona base decisions carry exact values end to end: with recognition
+    # disabled they still decide, and every support that reaches the exact
+    # certifier tail is a list of QuadExt values
+    import qwcorona.state_transfer as st
+
+    def no_recognition(*args, **kwargs):
+        raise AssertionError("as_exact called on the corona route")
+
+    certified = []
+    certify_support = st._certify_support
+
+    def recording(u, v, supported):
+        certified.append(supported)
+        return certify_support(u, v, supported)
+
+    monkeypatch.setattr(st, "as_exact", no_recognition)
+    monkeypatch.setattr(st, "_certify_support", recording)
+    for gspec, hspec, u, v in _probe_grid():
+        corona_base_pst_check(generate(gspec), generate(hspec), u, v)
+    assert all(isinstance(x, QuadExt) for supported in certified for x, _ in supported)
+    # integral bases of the certifier grid, decided in full and certified
+    # directly, past the refutations that stop most of them; every strongly
+    # cospectral pair ends in the exact tail
+    integral = [c for c in _grid() if not c[0].startswith("C:") or c[0] in ("C:4", "C:6")]
+    integral.append(("C:6", "C:79", 0, 3))
+    reached = []
+    for gspec, hspec, u, v in integral:
+        assert corona_base_pst_check(generate(gspec), generate(hspec), u, v).verdict != UNDECIDED
+        certified.clear()
+        rep = corona_pst_certify(_spectrum(gspec, hspec), u, v)
+        assert rep.verdict != UNDECIDED
+        assert len(certified) == (rep.strongly_cospectral is True)
+        if certified:
+            reached.append((gspec, hspec, u, v))
+            assert all(isinstance(x, QuadExt) for x, _ in certified[0])
+    assert ("K:2", "K:1", 0, 1) in reached and ("C:6", "C:79", 0, 3) in reached
