@@ -36,8 +36,7 @@ from .graphs import (
 )
 from .spectra import SpectralDecomposition, strong_cospectrality
 
-# a factor's top eigenvalue must lie this close to 2*r; corona values this
-# close merge into one eigenspace in `as_decomposition`
+# a factor's top eigenvalue must lie this close to 2*r
 MATCH_TOL = 1e-8
 
 SHIFT = "shift"
@@ -94,22 +93,6 @@ def top_radicand(params: CoronaParams) -> int:
     """(2*r1 - s + t)^2 + 4*n2*(n1 - 1)^2, squared gap of the top pair."""
     x = 2 * params.r1 - params.s + params.t
     return x * x + 4 * params.n2 * (params.n1 - 1) ** 2
-
-
-def pair_identity_targets(params: CoronaParams, theta: int):
-    """Exact targets for the pair products:
-
-    (s - v+)(s - v-) = -n2  and  ((s - v+)^2 + n2)((s - v-)^2 + n2) = n2 * D.
-    """
-    d = pair_radicand(params, theta)
-    return -params.n2, params.n2 * d
-
-
-def top_identity_targets(params: CoronaParams):
-    """Same products for the top pair, with n2*(1 - n1)^2 in place of n2."""
-    d = top_radicand(params)
-    c = params.n2 * (1 - params.n1) ** 2
-    return -c, c * d
 
 
 @dataclass(frozen=True)
@@ -212,7 +195,7 @@ class CoronaSpectrum:
             merged[e.value] = None if old is None or old * sg < 0 else old or sg
         values = sorted(merged, key=float, reverse=True)
         flag = flag and None not in merged.values()
-        return flag, tuple(values), tuple(merged[x] or 0 for x in values)
+        return flag, tuple(values), tuple([merged[x] or 0 for x in values])
 
     def projector(self, k: int) -> np.ndarray:
         """Materialize the dense eigenprojector of entry k in corona order."""
@@ -250,33 +233,6 @@ class CoronaSpectrum:
         out[n1:, :n1] = bc.T
         out[n1:, n1:] = (copy_weight**2 / denom) * np.kron(f_th, ones_block)
         return out
-
-    def as_decomposition(self) -> SpectralDecomposition:
-        """Merge entries that share a value into a standard decomposition."""
-        items = sorted(
-            range(len(self.entries)),
-            key=lambda k: float(self.entries[k].value),
-            reverse=True,
-        )
-        eigenvalues = []
-        multiplicities = []
-        projectors = []
-        for k in items:
-            val = float(self.entries[k].value)
-            if eigenvalues and eigenvalues[-1] - val <= MATCH_TOL:
-                multiplicities[-1] += self.entries[k].multiplicity
-                projectors[-1] = projectors[-1] + self.projector(k)
-            else:
-                eigenvalues.append(val)
-                multiplicities.append(self.entries[k].multiplicity)
-                projectors.append(self.projector(k))
-        for f in projectors:
-            f.flags.writeable = False
-        return SpectralDecomposition(
-            eigenvalues=tuple(eigenvalues),
-            multiplicities=tuple(multiplicities),
-            projectors=tuple(projectors),
-        )
 
 
 def corona_spectrum(
@@ -355,8 +311,9 @@ def _amplitude_terms(gdec: SpectralDecomposition, params: CoronaParams, u: int, 
     _validate_base(gdec, params)
     s, t = params.s, params.t
     rows = []
+    f_uv = gdec.entries(u, v)
     for idx, theta, x, d in _base_pairs(gdec, params):
-        f = float(gdec.projectors[idx][u, v])
+        f = float(f_uv[idx])
         lam = math.sqrt(d)
         for sign in (1, -1):
             rows.append((f * (1 + sign * x / lam) / 2, theta + s + t, d, sign))

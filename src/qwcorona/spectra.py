@@ -1,21 +1,19 @@
-"""Numeric spectral machinery: eigenprojectors of Q, walk amplitudes, scans.
+"""Numeric spectral machinery: eigenvectors of Q, walk amplitudes, scans.
 
-Everything here is brute force on dense matrices.  The closed-form layers
-are validated against these routines, never the other way around.
+A decomposition keeps the eigenvectors of a dense eigensolve and reads
+eigenprojector columns and entries from them on demand; a dense projector
+is built only when one is indexed.  The closed-form layers are validated
+against these routines, never the other way around.
 """
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .graphs import (
-    Graph,
-    diameter,
-    distance_k_adjacency,
-    is_connected,
-    signless_laplacian,
-)
+from .graphs import Graph, signless_laplacian
 
 DEFAULT_CLUSTER_TOL = 1e-7
 DEFAULT_SUPPORT_TOL = 1e-8
@@ -24,26 +22,74 @@ GAP_WARNING_FACTOR = 10.0
 
 @dataclass(frozen=True)
 class SpectralDecomposition:
-    """Distinct eigenvalues of a symmetric matrix with their projectors.
+    """Distinct eigenvalues of a symmetric matrix, read from its eigenvectors.
 
-    Eigenvalues are strictly descending.  Projectors are symmetric,
-    idempotent, mutually orthogonal, and sum to the identity.
+    Eigenvalues are strictly descending.  `vectors` is the read-only n x n
+    matrix of orthonormal eigenvectors, one column per eigenvalue with
+    multiplicity, in the same order, so the eigenprojector of cluster k,
+    F_k = B_k B_k^T, comes from the columns B_k of that cluster.
+    `columns` and `entries` read the F_k e_u and F_k[u, v] a decision
+    needs without forming any F_k; `projectors` builds a dense F_k on
+    first index and caches it.
     """
 
     eigenvalues: tuple
     multiplicities: tuple
-    projectors: tuple
+    vectors: np.ndarray
     warnings: tuple = ()
 
     @property
     def n(self) -> int:
-        return self.projectors[0].shape[0]
+        return self.vectors.shape[0]
+
+    @cached_property
+    def _starts(self) -> np.ndarray:
+        """First column of each cluster in `vectors`."""
+        return np.cumsum((0,) + self.multiplicities[:-1])
+
+    @cached_property
+    def projectors(self) -> Sequence:
+        return _Projectors(self.vectors, self._starts, self.multiplicities)
+
+    def columns(self, u: int) -> np.ndarray:
+        """The n x k matrix whose column k is F_k e_u."""
+        return np.add.reduceat(self.vectors * self.vectors[u], self._starts, axis=1)
+
+    def entries(self, u: int, v: int) -> np.ndarray:
+        """The k-vector of F_k[u, v]."""
+        return np.add.reduceat(self.vectors[u] * self.vectors[v], self._starts)
 
     def reconstruct(self) -> np.ndarray:
-        out = np.zeros_like(self.projectors[0])
-        for theta, f in zip(self.eigenvalues, self.projectors):
-            out += theta * f
-        return out
+        vals = np.repeat(self.eigenvalues, self.multiplicities)
+        return (self.vectors * vals) @ self.vectors.T
+
+
+class _Projectors(Sequence):
+    """Dense eigenprojectors of a decomposition, each built on first index."""
+
+    def __init__(self, vectors, starts, multiplicities):
+        self._vectors = vectors
+        self._bounds = list(zip(starts.tolist(), multiplicities))
+        self._built = [None] * len(multiplicities)
+
+    def __len__(self) -> int:
+        return len(self._built)
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return tuple([self[i] for i in range(*k.indices(len(self)))])
+        if self._built[k] is None:
+            lo, m = self._bounds[k]
+            self._built[k] = _projector(self._vectors[:, lo : lo + m])
+        return self._built[k]
+
+
+def _projector(block: np.ndarray) -> np.ndarray:
+    """Read-only B B^T, symmetrized, for the eigenvector columns B of one cluster."""
+    f = block @ block.T
+    f = (f + f.T) / 2.0
+    f.flags.writeable = False
+    return f
 
 
 def decompose(q: np.ndarray) -> SpectralDecomposition:
@@ -52,12 +98,13 @@ def decompose(q: np.ndarray) -> SpectralDecomposition:
     An eigenvalue joins a cluster when it lies within DEFAULT_CLUSTER_TOL
     of the cluster's largest member; the threshold is absolute, not scaled
     by the spectral norm of q.  When two clusters sit closer than ten times
-    DEFAULT_CLUSTER_TOL a warning string is attached to the result.
+    DEFAULT_CLUSTER_TOL a warning string is attached to the result.  q must
+    equal its transpose to within 1e-10 in every entry.
     """
     q = np.asarray(q, dtype=float)
     if q.ndim != 2 or q.shape[0] != q.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {q.shape}")
-    if not np.allclose(q, q.T, atol=1e-10):
+    if not np.allclose(q, q.T, rtol=0.0, atol=1e-10):
         raise ValueError("expected a symmetric matrix")
 
     vals, vecs = np.linalg.eigh(q)
@@ -66,6 +113,7 @@ def decompose(q: np.ndarray) -> SpectralDecomposition:
     order = np.argsort(vals)[::-1]
     vals = vals[order]
     vecs = vecs[:, order]
+    vecs.flags.writeable = False
 
     clusters = []
     start = 0
@@ -75,17 +123,11 @@ def decompose(q: np.ndarray) -> SpectralDecomposition:
             start = i
     clusters.append((start, len(vals)))
 
-    eigenvalues = []
-    multiplicities = []
-    projectors = []
-    for lo, hi in clusters:
-        block = vecs[:, lo:hi]
-        f = block @ block.T
-        f = (f + f.T) / 2.0
-        f.flags.writeable = False
-        eigenvalues.append(float(np.mean(vals[lo:hi])))
-        multiplicities.append(hi - lo)
-        projectors.append(f)
+    # tuples from lists, not generators: a generator-built tuple is allocated
+    # at one length and freed at another, so CPython's per-length tuple free
+    # lists fill (up to 2000 tuples per length) until a full gc collection
+    eigenvalues = tuple([float(np.mean(vals[lo:hi])) for lo, hi in clusters])
+    multiplicities = tuple([hi - lo for lo, hi in clusters])
 
     warnings = []
     for k in range(1, len(eigenvalues)):
@@ -98,9 +140,9 @@ def decompose(q: np.ndarray) -> SpectralDecomposition:
             )
 
     return SpectralDecomposition(
-        eigenvalues=tuple(eigenvalues),
-        multiplicities=tuple(multiplicities),
-        projectors=tuple(projectors),
+        eigenvalues=eigenvalues,
+        multiplicities=multiplicities,
+        vectors=vecs,
         warnings=tuple(warnings),
     )
 
@@ -109,33 +151,26 @@ def decompose_graph(g: Graph) -> SpectralDecomposition:
     return decompose(signless_laplacian(g))
 
 
-def transition_matrix(dec: SpectralDecomposition, tau: float) -> np.ndarray:
-    """U_Q(tau) = sum_r exp(-i tau theta_r) F_r."""
-    n = dec.n
-    out = np.zeros((n, n), dtype=complex)
-    for theta, f in zip(dec.eigenvalues, dec.projectors):
-        out += np.exp(-1j * tau * theta) * f
-    return out
-
-
 def transition_amplitude(dec: SpectralDecomposition, u: int, v: int, taus):
     """Entry U_Q(tau)[u, v] for a scalar tau or an array of times."""
     taus_arr = np.asarray(taus, dtype=float)
     out = np.zeros(taus_arr.shape, dtype=complex)
-    for theta, f in zip(dec.eigenvalues, dec.projectors):
-        out = out + np.exp(-1j * taus_arr * theta) * f[u, v]
+    for theta, f_uv in zip(dec.eigenvalues, dec.entries(u, v)):
+        out = out + np.exp(-1j * taus_arr * theta) * f_uv
     if np.isscalar(taus) or getattr(taus, "ndim", 0) == 0:
         return complex(out)
     return out
 
 
+def _vanishes(cols: np.ndarray) -> np.ndarray:
+    """Per column: is its max norm within DEFAULT_SUPPORT_TOL?"""
+    return np.abs(cols).max(axis=0) <= DEFAULT_SUPPORT_TOL
+
+
 def eigenvalue_support(dec: SpectralDecomposition, u: int) -> tuple:
     """Eigenvalues whose projector column at u exceeds DEFAULT_SUPPORT_TOL (max norm)."""
-    out = []
-    for theta, f in zip(dec.eigenvalues, dec.projectors):
-        if float(np.max(np.abs(f[:, u]))) > DEFAULT_SUPPORT_TOL:
-            out.append(theta)
-    return tuple(out)
+    zero = _vanishes(dec.columns(u))
+    return tuple([theta for theta, z in zip(dec.eigenvalues, zero) if not z])
 
 
 def strong_cospectrality(dec: SpectralDecomposition, u: int, v: int):
@@ -148,47 +183,15 @@ def strong_cospectrality(dec: SpectralDecomposition, u: int, v: int):
     """
     if u == v:
         raise ValueError("strong cospectrality needs two distinct vertices")
-    flag = True
-    signs = []
-    for f in dec.projectors:
-        x = f[:, u]
-        y = f[:, v]
-        x_zero = float(np.max(np.abs(x))) <= DEFAULT_SUPPORT_TOL
-        y_zero = float(np.max(np.abs(y))) <= DEFAULT_SUPPORT_TOL
-        if x_zero and y_zero:
-            signs.append(0)
-            continue
-        if x_zero != y_zero:
-            signs.append(0)
-            flag = False
-            continue
-        if float(np.max(np.abs(x - y))) <= DEFAULT_SUPPORT_TOL:
-            signs.append(1)
-        elif float(np.max(np.abs(x + y))) <= DEFAULT_SUPPORT_TOL:
-            signs.append(-1)
-        else:
-            signs.append(0)
-            flag = False
-    return flag, tuple(signs)
-
-
-def antipodal_identity_check(g: Graph) -> bool:
-    """Check A_d F_i = (-1)^i F_i for every projector, eigenvalues descending,
-    to within DEFAULT_SUPPORT_TOL.
-
-    A_d is the 0/1 matrix of vertex pairs at distance exactly the diameter.
-    Holds for antipodal distance-regular graphs whose antipodal classes
-    have size two; fails elsewhere.
-    """
-    if not is_connected(g):
-        raise ValueError("antipodal identity needs a connected graph")
-    a_d = distance_k_adjacency(g, diameter(g))
-    dec = decompose_graph(g)
-    for i, f in enumerate(dec.projectors):
-        want = f if i % 2 == 0 else -f
-        if float(np.max(np.abs(a_d @ f - want))) > DEFAULT_SUPPORT_TOL:
-            return False
-    return True
+    x = dec.columns(u)
+    y = dec.columns(v)
+    x_zero, y_zero = _vanishes(x), _vanishes(y)
+    plus, minus = _vanishes(x - y), _vanishes(x + y)
+    nonzero = ~x_zero & ~y_zero
+    matched = plus | minus
+    signs = np.where(plus, 1, -1) * (nonzero & matched)
+    flag = not ((x_zero != y_zero) | (nonzero & ~matched)).any()
+    return flag, tuple(signs.tolist())
 
 
 # golden-section constants as in scipy.optimize's golden method

@@ -1,0 +1,112 @@
+"""Reference computations that only the tests use.
+
+Each one forms dense matrices or checks an identity the library itself
+never needs; the tests hold the library's results against them.
+"""
+from __future__ import annotations
+
+import numpy as np
+
+from qwcorona.corona_spectra import MATCH_TOL, CoronaParams, CoronaSpectrum, pair_radicand, top_radicand
+from qwcorona.graphs import Graph, diameter, distance_k_adjacency, is_connected
+from qwcorona.spectra import DEFAULT_SUPPORT_TOL, SpectralDecomposition, decompose_graph
+
+
+def as_decomposition(spectrum: CoronaSpectrum):
+    """Merge closed-form entries that share a value into (eigenvalues,
+    multiplicities, projectors), eigenvalues descending, projectors dense."""
+    items = sorted(
+        range(len(spectrum.entries)),
+        key=lambda k: float(spectrum.entries[k].value),
+        reverse=True,
+    )
+    eigenvalues = []
+    multiplicities = []
+    projectors = []
+    for k in items:
+        val = float(spectrum.entries[k].value)
+        if eigenvalues and eigenvalues[-1] - val <= MATCH_TOL:
+            multiplicities[-1] += spectrum.entries[k].multiplicity
+            projectors[-1] = projectors[-1] + spectrum.projector(k)
+        else:
+            eigenvalues.append(val)
+            multiplicities.append(spectrum.entries[k].multiplicity)
+            projectors.append(spectrum.projector(k))
+    return tuple(eigenvalues), tuple(multiplicities), tuple(projectors)
+
+
+def support_from_projectors(dec: SpectralDecomposition, u: int) -> tuple:
+    """`eigenvalue_support` as a loop over dense projectors."""
+    return tuple(
+        theta
+        for theta, f in zip(dec.eigenvalues, dec.projectors)
+        if float(np.max(np.abs(f[:, u]))) > DEFAULT_SUPPORT_TOL
+    )
+
+
+def cospectrality_from_projectors(dec: SpectralDecomposition, u: int, v: int):
+    """`strong_cospectrality` as a loop over dense projectors."""
+    flag = True
+    signs = []
+    for f in dec.projectors:
+        x = f[:, u]
+        y = f[:, v]
+        x_zero = float(np.max(np.abs(x))) <= DEFAULT_SUPPORT_TOL
+        y_zero = float(np.max(np.abs(y))) <= DEFAULT_SUPPORT_TOL
+        if x_zero and y_zero:
+            signs.append(0)
+        elif x_zero != y_zero:
+            signs.append(0)
+            flag = False
+        elif float(np.max(np.abs(x - y))) <= DEFAULT_SUPPORT_TOL:
+            signs.append(1)
+        elif float(np.max(np.abs(x + y))) <= DEFAULT_SUPPORT_TOL:
+            signs.append(-1)
+        else:
+            signs.append(0)
+            flag = False
+    return flag, tuple(signs)
+
+
+def transition_matrix(dec: SpectralDecomposition, tau: float) -> np.ndarray:
+    """U_Q(tau) = sum_r exp(-i tau theta_r) F_r."""
+    n = dec.n
+    out = np.zeros((n, n), dtype=complex)
+    for theta, f in zip(dec.eigenvalues, dec.projectors):
+        out += np.exp(-1j * tau * theta) * f
+    return out
+
+
+def antipodal_identity_check(g: Graph) -> bool:
+    """Check A_d F_i = (-1)^i F_i for every projector, eigenvalues descending,
+    to within DEFAULT_SUPPORT_TOL.
+
+    A_d is the 0/1 matrix of vertex pairs at distance exactly the diameter.
+    Holds for antipodal distance-regular graphs whose antipodal classes
+    have size two; fails elsewhere.
+    """
+    if not is_connected(g):
+        raise ValueError("antipodal identity needs a connected graph")
+    a_d = distance_k_adjacency(g, diameter(g))
+    dec = decompose_graph(g)
+    for i, f in enumerate(dec.projectors):
+        want = f if i % 2 == 0 else -f
+        if float(np.max(np.abs(a_d @ f - want))) > DEFAULT_SUPPORT_TOL:
+            return False
+    return True
+
+
+def pair_identity_targets(params: CoronaParams, theta: int):
+    """Exact targets for the pair products:
+
+    (s - v+)(s - v-) = -n2  and  ((s - v+)^2 + n2)((s - v-)^2 + n2) = n2 * D.
+    """
+    d = pair_radicand(params, theta)
+    return -params.n2, params.n2 * d
+
+
+def top_identity_targets(params: CoronaParams):
+    """Same products for the top pair, with n2*(1 - n1)^2 in place of n2."""
+    d = top_radicand(params)
+    c = params.n2 * (1 - params.n1) ** 2
+    return -c, c * d

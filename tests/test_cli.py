@@ -564,3 +564,32 @@ def test_internal_invariant_exits_four(monkeypatch, capsys):
     assert code == 4
     assert out == ""
     assert err.startswith("internal error:")
+
+
+def test_decisions_build_no_dense_projector(monkeypatch, capsys):
+    # decisions read projector columns from the eigenvectors; only
+    # `spectrum --projectors` asks for a dense eigenprojector
+    from qwcorona import spectra
+
+    def refuse(block):
+        raise AssertionError("a dense projector was built")
+
+    monkeypatch.setattr(spectra, "_projector", refuse)
+    gen = qwcorona.generate
+    for base, att, u, v in [("K:2", "K:1", 0, 1), ("CP:3", "K:1", 0, 1), ("C:8", "K:1", 0, 4), ("C:5", "C:5", 0, 1)]:
+        qwcorona.corona_base_pst_check(gen(base), gen(att), u, v)
+    g = gen("CP:2")
+    params = qwcorona.CoronaParams.from_graphs(g, gen("empty:3"))
+    gdec = qwcorona.decompose_graph(g)
+    assert qwcorona.pgst_time_search(gdec, params, 0, 1, 1e-2, 1000).basis == "irrational-gap-search"
+    for argv in (
+        ["check-pst", "corona(C:6,K:2)", "copy:0:0", "copy:3:0"],
+        ["check-pst", "CP:4", "0", "1"],
+        ["check-pst", "corona(K:2,K:1)", "base:0", "base:1"],
+        ["spectrum", "corona(C:4,K:2)"],
+        ["fidelity", "C:6", "0", "3", "--grid", "0:5:20"],
+    ):
+        code, _, err = run(capsys, argv)
+        assert code == 0, (argv, err)
+    with pytest.raises(AssertionError, match="dense projector"):
+        main(["spectrum", "K:2", "--projectors"])

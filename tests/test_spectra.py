@@ -2,11 +2,15 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from qwcorona import spectra
+from qwcorona.cli import parse_spec
+from qwcorona.corona_spectra import corona_full_q
 from qwcorona.graphs import (
     cocktail_party_graph,
     complete_graph,
@@ -17,13 +21,18 @@ from qwcorona.graphs import (
     signless_laplacian,
 )
 from qwcorona.spectra import (
-    antipodal_identity_check,
     decompose,
     decompose_graph,
     eigenvalue_support,
     fidelity_scan,
     strong_cospectrality,
     transition_amplitude,
+)
+
+from oracle import (
+    antipodal_identity_check,
+    cospectrality_from_projectors,
+    support_from_projectors,
     transition_matrix,
 )
 
@@ -84,6 +93,108 @@ def test_projectors_read_only():
     dec = decompose_graph(complete_graph(2))
     with pytest.raises(ValueError):
         dec.projectors[0][0, 0] = 5.0
+    with pytest.raises(ValueError):
+        dec.vectors[0, 0] = 5.0
+
+
+def test_decompose_rejects_nearly_symmetric():
+    # rtol would let 1e-6 through, and eigh would read one triangle only
+    with pytest.raises(ValueError, match="symmetric"):
+        decompose(np.array([[0.0, 1.0], [1.0 + 1e-6, 0.0]]))
+    decompose(np.array([[0.0, 1.0], [1.0 + 1e-11, 0.0]]))
+
+
+def _planted(seed: int, n: int):
+    """Random symmetric matrix with a few integer eigenvalues repeated."""
+    rng = np.random.default_rng(seed)
+    values = rng.choice([-3.0, 0.0, 1.0, 2.5, 7.0], size=n)
+    basis, _ = np.linalg.qr(rng.normal(size=(n, n)))
+    q = (basis * values) @ basis.T
+    return (q + q.T) / 2.0, values
+
+
+def test_columns_and_entries_match_dense_projectors():
+    mats = [signless_laplacian(generate(spec)) for spec in SPECS]
+    for seed in range(6):
+        q, values = _planted(seed, 6 + 3 * seed)
+        dec = decompose(q)
+        want = sorted(((v, int(np.sum(values == v))) for v in set(values.tolist())), reverse=True)
+        assert [round(x, 9) for x in dec.eigenvalues] == [v for v, _ in want]
+        assert list(dec.multiplicities) == [m for _, m in want]
+        mats.append(q)
+    for q in mats:
+        dec = decompose(q)
+        n, k = dec.n, len(dec.eigenvalues)
+        dense = np.stack(
+            [dec.vectors[:, lo : lo + m] @ dec.vectors[:, lo : lo + m].T
+             for lo, m in zip(np.cumsum((0,) + dec.multiplicities[:-1]), dec.multiplicities)]
+        )
+        assert np.max(np.abs(dense - np.stack(dec.projectors))) <= 1e-12
+        for u in range(n):
+            cols = dec.columns(u)
+            assert cols.shape == (n, k)
+            assert np.max(np.abs(cols - dense[:, :, u].T)) <= 1e-12
+            for v in range(n):
+                assert np.max(np.abs(dec.entries(u, v) - dense[:, u, v])) <= 1e-12
+
+
+def test_support_and_cospectrality_match_projector_loops():
+    specs = SPECS + ["C:9", "C:12", "halved:3", "corona(C:4,K:2)", "corona(K:3,C:4)", "corona(CP:2,empty:2)"]
+    decs = [decompose(signless_laplacian(parse_spec(spec).graph)) for spec in specs]
+    decs += [decompose(_planted(seed, 9)[0]) for seed in range(3)]
+    for dec in decs:
+        for u in range(dec.n):
+            assert eigenvalue_support(dec, u) == support_from_projectors(dec, u)
+            for v in range(dec.n):
+                if u != v:
+                    got = strong_cospectrality(dec, u, v)
+                    assert got == cospectrality_from_projectors(dec, u, v)
+                    assert type(got[0]) is bool and all(type(s) is int for s in got[1])
+
+
+def _reference_eigenvalues(q):
+    """eigh's values, descending, clustered and averaged as `decompose` documents."""
+    vals = np.linalg.eigh(q)[0]
+    vals = vals[np.argsort(vals)[::-1]]
+    out, start = [], 0
+    for i in range(1, len(vals) + 1):
+        if i == len(vals) or vals[start] - vals[i] > spectra.DEFAULT_CLUSTER_TOL:
+            out.append(float(np.mean(vals[start:i])))
+            start = i
+    return tuple(out)
+
+
+def test_eigenvalues_keep_every_bit():
+    # the same eigh call, ordering and cluster means: equal floats, not close
+    # ones (a pinned literal would instead pin the LAPACK build and CPU)
+    specs = SPECS + ["C:8", "C:12", "C:60", "K:7", "HQ:4", "halved:4", "corona(C:6,K:2)", "corona(K:3,C:4)"]
+    for spec in specs:
+        q = signless_laplacian(parse_spec(spec).graph)
+        assert decompose(q).eigenvalues == _reference_eigenvalues(q), spec
+
+
+def test_decompose_peak_memory_is_a_few_matrices():
+    q = corona_full_q(generate("C:40"), generate("C:20"))
+    n = q.shape[0]
+    tracemalloc.start()
+    try:
+        dec = decompose(q)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert n == 840 and dec.n == n
+    assert peak < 4 * n * n * 8
+
+
+def test_length_and_order_build_no_projector(monkeypatch):
+    def refuse(block):
+        raise AssertionError("a dense projector was built")
+
+    monkeypatch.setattr(spectra, "_projector", refuse)
+    dec = decompose_graph(cycle_graph(6))
+    assert len(dec.projectors) == 4 and dec.n == 6
+    with pytest.raises(AssertionError):
+        dec.projectors[0]
 
 
 # =========================================================================
