@@ -214,6 +214,8 @@ def as_exact(values, tolerance: float = DEFAULT_RECOGNITION_TOL) -> list[QuadExt
     """
     if tolerance <= 0:
         raise ValueError("tolerance must be positive")
+    if not math.isfinite(tolerance):
+        raise ValueError(f"tolerance must be finite, got {tolerance}")
     values = list(values)
     floats = np.array([float(v) for v in values])
     return [_exact_one(v, x, floats, tolerance) for v, x in zip(values, floats.tolist())]

@@ -11,9 +11,11 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass, fields
+from functools import cached_property
 
 import numpy as np
 
@@ -21,6 +23,8 @@ from .algebraic import DEFAULT_RECOGNITION_TOL, InternalInvariantError, QuadExt,
 from .corona_spectra import CoronaParams, corona_full_q, corona_spectrum
 from .graphs import (
     Graph,
+    cocktail_party_graph,
+    complete_graph,
     generate,
     read_edge_list,
     signless_laplacian,
@@ -57,8 +61,11 @@ class RunConfig:
 
     def __post_init__(self) -> None:
         for field in ("tolerance", "epsilon", "t_max"):
-            if getattr(self, field) <= 0:
-                raise ValueError(f"{field} must be positive, got {getattr(self, field)}")
+            value = getattr(self, field)
+            if value <= 0:
+                raise ValueError(f"{field} must be positive, got {value}")
+            if not math.isfinite(value):
+                raise ValueError(f"{field} must be finite, got {value}")
         if self.l_bound <= 0 or self.steps <= 0:
             raise ValueError("l_bound and steps must be positive")
         if self.format not in FORMATS:
@@ -102,22 +109,29 @@ def build_config(args: argparse.Namespace) -> RunConfig:
 
 @dataclass(frozen=True)
 class ParsedSpec:
-    """A graph plus its corona structure when the spec string declared one."""
+    """A spec as its factors: g alone, or g and h, whose corona `graph` builds on first read."""
 
     text: str
-    graph: Graph
-    g: Graph = None
+    g: Graph
     h: Graph = None
     cocktail_m: int = None
 
     @property
     def is_corona(self) -> bool:
-        return self.g is not None
+        return self.h is not None
+
+    @property
+    def n(self) -> int:
+        return self.g.n * (1 + self.h.n) if self.is_corona else self.g.n
+
+    @cached_property
+    def graph(self) -> Graph:
+        return vertex_complemented_corona(self.g, self.h) if self.is_corona else self.g
 
 
 def parse_spec(text: str, file_path: str = None) -> ParsedSpec:
     if file_path is not None:
-        return ParsedSpec(text=f"file:{file_path}", graph=read_edge_list(file_path))
+        return ParsedSpec(text=f"file:{file_path}", g=read_edge_list(file_path))
     text = text.strip()
     if not text:
         raise ValueError("empty graph spec")
@@ -130,17 +144,7 @@ def parse_spec(text: str, file_path: str = None) -> ParsedSpec:
                 f"cannot parse {text!r}: parameter {tail!r} (position "
                 f"{len('cocktail-corona:')}) is not an integer"
             ) from None
-        from .graphs import cocktail_party_graph, complete_graph
-
-        g = cocktail_party_graph(m)
-        h = complete_graph(1)
-        return ParsedSpec(
-            text=text,
-            graph=vertex_complemented_corona(g, h),
-            g=g,
-            h=h,
-            cocktail_m=m,
-        )
+        return ParsedSpec(text=text, g=cocktail_party_graph(m), h=complete_graph(1), cocktail_m=m)
     if text.startswith("corona(") and text.endswith(")"):
         inner = text[len("corona(") : -1]
         depth = 0
@@ -160,13 +164,8 @@ def parse_spec(text: str, file_path: str = None) -> ParsedSpec:
             )
         left = parse_spec(inner[:split_at])
         right = parse_spec(inner[split_at + 1 :])
-        return ParsedSpec(
-            text=text,
-            graph=vertex_complemented_corona(left.graph, right.graph),
-            g=left.graph,
-            h=right.graph,
-        )
-    return ParsedSpec(text=text, graph=generate(text))
+        return ParsedSpec(text=text, g=left.graph, h=right.graph)
+    return ParsedSpec(text=text, g=generate(text))
 
 
 def parse_address(text: str, spec: ParsedSpec) -> int:
@@ -198,8 +197,8 @@ def parse_address(text: str, spec: ParsedSpec) -> int:
         idx = int(text)
     except ValueError:
         raise ValueError(f"malformed vertex address {text!r}") from None
-    if not 0 <= idx < spec.graph.n:
-        raise ValueError(f"vertex {idx} out of range [0, {spec.graph.n})")
+    if not 0 <= idx < spec.n:
+        raise ValueError(f"vertex {idx} out of range [0, {spec.n})")
     return idx
 
 
@@ -258,18 +257,14 @@ def cmd_spectrum(args, cfg: RunConfig) -> tuple:
         for val, mult in zip(dec.eigenvalues, dec.multiplicities):
             lines.append(f"{_fmt_float(val)},{mult}")
         return "\n".join(lines), 0
-    rows = []
     exacts = as_exact(dec.eigenvalues, cfg.tolerance)
-    for val, exact, mult in zip(dec.eigenvalues, exacts, dec.multiplicities):
-        rows.append(
-            {
-                "value": _value_json(exact if exact is not None else val),
-                "multiplicity": mult,
-            }
-        )
+    rows = [
+        {"value": _value_json(exact if exact is not None else val), "multiplicity": mult}
+        for val, exact, mult in zip(dec.eigenvalues, exacts, dec.multiplicities)
+    ]
     out = {
         "spec": spec.text,
-        "n": spec.graph.n,
+        "n": spec.n,
         "eigenvalues": rows,
         "warnings": list(dec.warnings),
     }
@@ -319,14 +314,7 @@ def cmd_corona_spectrum(args, cfg: RunConfig) -> tuple:
     out = {
         "g": gspec.text,
         "h": hspec.text,
-        "params": {
-            "n1": params.n1,
-            "n2": params.n2,
-            "r1": params.r1,
-            "r2": params.r2,
-            "s": params.s,
-            "t": params.t,
-        },
+        "params": {**vars(params), "s": params.s, "t": params.t},
         "closed_form": entries,
         "oracle": [
             {"value": v, "multiplicity": m}
@@ -423,14 +411,16 @@ def cmd_fidelity(args, cfg: RunConfig) -> tuple:
     spec = parse_spec(args.spec, args.file)
     u = parse_address(args.u, spec)
     v = parse_address(args.v, spec)
+    if args.tau is not None and not math.isfinite(args.tau):
+        raise ValueError(f"tau must be finite, got {args.tau}")
     dec = decompose(signless_laplacian(spec.graph))
     if args.tau is not None:
-        amp = transition_amplitude(dec, u, v, float(args.tau))
+        amp = transition_amplitude(dec, u, v, args.tau)
         out = {
             "spec": spec.text,
             "u": u,
             "v": v,
-            "tau": float(args.tau),
+            "tau": args.tau,
             "amplitude": amp,
             "fidelity": float(abs(amp) ** 2),
         }
@@ -476,8 +466,10 @@ def _parse_grid(text: str) -> tuple:
         start, stop, steps = float(parts[0]), float(parts[1]), int(parts[2])
     except ValueError:
         raise ValueError(f"grid must be start:stop:steps, got {text!r}") from None
-    if start < 0 or stop <= start or steps < 2:
+    if not 0 <= start < stop or steps < 2:
         raise ValueError(f"grid needs 0 <= start < stop and steps >= 2, got {text!r}")
+    if not math.isfinite(stop):
+        raise ValueError(f"grid stop must be finite, got {text!r}")
     return start, stop, steps
 
 

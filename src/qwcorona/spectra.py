@@ -7,6 +7,7 @@ against these routines, never the other way around.
 """
 from __future__ import annotations
 
+import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
@@ -271,6 +272,8 @@ def fidelity_scan(
     """
     if t_max <= 0:
         raise ValueError(f"t_max must be positive, got {t_max}")
+    if not math.isfinite(t_max):
+        raise ValueError(f"t_max must be finite, got {t_max}")
     steps = int(steps)
     if steps < 2:
         raise ValueError(f"steps must be at least 2, got {steps}")

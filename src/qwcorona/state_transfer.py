@@ -619,7 +619,7 @@ def pgst_scan(
     non-integral eigenvalue enters as its float value, whose rounding
     (about 1e-15 relative) then shifts the phase by that much times T_l.
     """
-    if epsilon <= 0 or epsilon > 1:
+    if not 0 < epsilon <= 1:
         raise ValueError(f"epsilon must lie in (0, 1], got {epsilon}")
     if l_start < 0:
         raise ValueError(f"l_start must be non-negative, got {l_start}")
@@ -725,7 +725,7 @@ def pgst_cocktail(
     """
     if m <= 2 or m % 2 == 0:
         raise ValueError(f"the cocktail party search needs an odd m greater than 2, got {m}")
-    if epsilon <= 0 or epsilon > 1:
+    if not 0 < epsilon <= 1:
         raise ValueError(f"epsilon must lie in (0, 1], got {epsilon}")
     if l_bound < 1:
         raise ValueError(f"l_bound must be at least 1, got {l_bound}")

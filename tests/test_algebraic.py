@@ -168,6 +168,12 @@ def test_recognize_rejects_pi():
     assert as_exact([math.pi, 3 - math.pi]) == [None, None]
 
 
+@pytest.mark.parametrize("tolerance", [math.nan, math.inf])
+def test_as_exact_rejects_non_finite_tolerance(tolerance):
+    with pytest.raises(ValueError, match=f"tolerance must be finite, got {tolerance}"):
+        as_exact([math.sqrt(2), -math.sqrt(2)], tolerance)
+
+
 def test_recognize_respects_tolerance():
     x = math.sqrt(2) + 5e-7
     assert as_exact([x, -math.sqrt(2)], tolerance=1e-9)[0] is None

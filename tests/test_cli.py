@@ -92,6 +92,59 @@ def test_parse_spec_from_file(tmp_path):
     assert spec.text == f"file:{p}"
 
 
+def test_spec_counts_vertices_from_its_factors(tmp_path):
+    p = tmp_path / "edges.txt"
+    p.write_text("3\n0 1\n1 2\n")
+    specs = [
+        parse_spec("C:5"),
+        parse_spec("ignored", str(p)),
+        parse_spec("corona(C:4,K:2)"),
+        parse_spec("corona(corona(K:2,K:1),K:1)"),
+        parse_spec("cocktail-corona:3"),
+    ]
+    for spec in specs:
+        assert spec.n == spec.graph.n, spec.text
+
+
+@pytest.fixture
+def corona_builds(monkeypatch):
+    """Count the corona adjacencies the CLI builds."""
+    from qwcorona import cli
+
+    build = cli.vertex_complemented_corona
+    calls = []
+
+    def counted(g, h):
+        calls.append((g.n, h.n))
+        return build(g, h)
+
+    monkeypatch.setattr(cli, "vertex_complemented_corona", counted)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "argv, builds",
+    [
+        (["check-pst", "corona(C:6,K:1)", "base:0", "base:3"], 0),
+        (["check-pst", "corona(C:6,K:1)", "0", "3"], 0),
+        (["check-pst", "corona(C:60,C:25)", "base:0", "base:30"], 0),
+        (["search-pgst", "cocktail-corona:3", "--l-bound", "100"], 0),
+        (["search-pgst", "corona(CP:4,empty:1)", "0", "1", "--l-bound", "100"], 0),
+        (["search-pgst", "corona(K:2,K:2)", "0", "1", "--l-bound", "10"], 0),
+        (["spectrum", "corona(C:4,K:2)"], 1),
+        (["fidelity", "corona(K:2,K:1)", "0", "1", "--tau", "1"], 1),
+        (["check-pst", "corona(K:2,K:1)", "copy:0:0", "copy:1:0"], 1),
+        (["check-pst", "corona(corona(K:2,K:1),K:1)", "base:0", "base:1"], 2),
+    ],
+)
+def test_commands_build_the_corona_only_when_they_read_it(capsys, corona_builds, argv, builds):
+    # base pairs and PGST searches decide from the factors; a nested spec
+    # builds its inner corona, which is the outer base
+    code, _, err = run(capsys, argv)
+    assert code in (0, 3), err
+    assert len(corona_builds) == builds
+
+
 # =========================================================================
 # vertex addressing
 # =========================================================================
@@ -330,9 +383,11 @@ def test_corona_spectrum_csv(capsys):
 
 
 def test_corona_spectrum_rejects_irregular(capsys):
-    code, _, err = run(capsys, ["corona-spectrum", "path:4", "K:1"])
-    assert code == 2
-    assert "error:" in err
+    # corona(K:2,K:1) is the path 2-0-1-3, degrees 2, 2, 1, 1, as either factor
+    for factors in (["corona(K:2,K:1)", "K:1"], ["K:3", "corona(K:2,K:1)"]):
+        code, out, err = run(capsys, ["corona-spectrum", *factors])
+        assert (code, out) == (2, ""), factors
+        assert err == "error: regularity violation at vertex 2: degree 1 != 2\n"
 
 
 def test_check_pst_positive(capsys):
@@ -525,6 +580,37 @@ def test_fidelity_offset_grid(capsys):
     assert out["taus"][0] > 1.0
     assert out["taus"][-1] == pytest.approx(2.0)
     assert len(out["taus"]) == 10
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("field", ["tolerance", "epsilon", "t_max"])
+def test_float_config_rejects_non_finite_values(monkeypatch, capsys, field, value):
+    # -inf was already rejected as non-positive and keeps that message
+    message = f"{field} must be {'positive' if value == '-inf' else 'finite'}, got {value}"
+    argv = ["search-pgst", "cocktail-corona:3", "--l-bound", "10"]
+    code, out, err = run(capsys, argv + [f"--{field.replace('_', '-')}={value}"])
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+    name = "QWC_" + field.upper()
+    monkeypatch.setenv(name, value)
+    code, out, err = run(capsys, argv)
+    assert (code, out, err) == (2, "", f"error: environment variable {name}={value!r}: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "flags, error",
+    [
+        (["--tau", "nan"], "tau must be finite, got nan"),
+        (["--tau", "inf"], "tau must be finite, got inf"),
+        (["--tau=-inf"], "tau must be finite, got -inf"),
+        (["--grid", "nan:1:3", "--format", "json"], "grid needs 0 <= start < stop"),
+        (["--grid", "0:nan:3"], "grid needs 0 <= start < stop"),
+        (["--grid", "0:inf:3"], "grid stop must be finite, got '0:inf:3'"),
+    ],
+)
+def test_fidelity_rejects_non_finite_times(capsys, flags, error):
+    code, out, err = run(capsys, ["fidelity", "K:2", "0", "1", *flags])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: " + error)
 
 
 def test_fidelity_grid_validation(capsys):

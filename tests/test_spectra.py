@@ -320,6 +320,13 @@ def test_fidelity_scan_finds_k2_transfer():
     assert scan.best_tau == pytest.approx(math.pi / 2, abs=1e-4)
 
 
+@pytest.mark.parametrize("t_max", [math.nan, math.inf])
+def test_fidelity_scan_rejects_non_finite_t_max(t_max):
+    dec = decompose_graph(complete_graph(2))
+    with pytest.raises(ValueError, match=f"t_max must be finite, got {t_max}"):
+        fidelity_scan(dec, 0, 1, t_max, 10)
+
+
 def test_fidelity_scan_grid_shape():
     dec = decompose_graph(cycle_graph(4))
     scan = fidelity_scan(dec, 0, 2, 10.0, 100)

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -407,6 +408,17 @@ def test_pgst_cocktail_validation():
             pgst_cocktail(m, 0.01, 10)
     with pytest.raises(ValueError):
         pgst_cocktail(3, 0.01, 0)
+
+
+@pytest.mark.parametrize("eps", [math.nan, math.inf, -math.inf])
+def test_pgst_searches_reject_non_finite_epsilon(eps):
+    gdec = dec_of("CP:4")
+    params = CoronaParams(n1=8, n2=1, r1=6, r2=0)
+    message = re.escape(f"epsilon must lie in (0, 1], got {eps}")
+    with pytest.raises(ValueError, match=message):
+        pgst_scan(gdec, params, 0, 1, eps, 10, 2)
+    with pytest.raises(ValueError, match=message):
+        pgst_cocktail(3, eps, 10)
 
 
 def test_pgst_cocktail_m3_small_bound():
