@@ -20,7 +20,7 @@ from functools import cached_property
 import numpy as np
 
 from .algebraic import DEFAULT_RECOGNITION_TOL, InternalInvariantError, QuadExt, as_exact
-from .corona_spectra import CoronaParams, corona_full_q, corona_spectrum
+from .corona_spectra import CoronaParams, corona_spectrum
 from .graphs import (
     Graph,
     cocktail_party_graph,
@@ -281,7 +281,8 @@ def cmd_corona_spectrum(args, cfg: RunConfig) -> tuple:
     hdec = decompose(signless_laplacian(hspec.graph))
     spectrum = corona_spectrum(gdec, hdec, params)
 
-    oracle = decompose(corona_full_q(gspec.graph, hspec.graph))
+    corona = ParsedSpec(text=f"corona({gspec.text},{hspec.text})", g=gspec.graph, h=hspec.graph)
+    oracle = decompose(signless_laplacian(corona.graph))
     closed_sorted = np.sort(
         np.repeat(
             [float(e.value) for e in spectrum.entries],
@@ -331,6 +332,8 @@ def cmd_check_pst(args, cfg: RunConfig) -> tuple:
     spec = parse_spec(args.spec, args.file)
     u = parse_address(args.u, spec)
     v = parse_address(args.v, spec)
+    if u == v:
+        raise ValueError("strong cospectrality needs two distinct vertices")
     mode = "generic"
     report = None
     if spec.is_corona and u < spec.g.n and v < spec.g.n:
@@ -430,30 +433,22 @@ def cmd_fidelity(args, cfg: RunConfig) -> tuple:
         start, stop, steps = _parse_grid(args.grid)
     else:
         start, stop, steps = 0.0, cfg.t_max, cfg.steps
-    if start == 0.0:
-        scan = fidelity_scan(dec, u, v, stop, steps)
-        taus, fids = scan.taus, scan.fidelities
-        best_tau, best_fid = scan.best_tau, scan.best_fidelity
-    else:
-        taus = start + (stop - start) * np.arange(1, steps + 1) / steps
-        fids = np.abs(transition_amplitude(dec, u, v, taus)) ** 2
-        k = int(np.argmax(fids))
-        best_tau, best_fid = float(taus[k]), float(fids[k])
+    scan = fidelity_scan(dec, u, v, stop, steps, start)
 
     fmt = cfg.format if getattr(cfg, "_explicit_format", False) else "csv"
     if fmt == "csv":
         lines = ["tau,fidelity"]
-        for tval, fval in zip(taus, fids):
+        for tval, fval in zip(scan.taus, scan.fidelities):
             lines.append(f"{_fmt_float(tval)},{_fmt_float(fval)}")
         return "\n".join(lines), 0
     out = {
         "spec": spec.text,
         "u": u,
         "v": v,
-        "taus": taus,
-        "fidelities": fids,
-        "best_tau": best_tau,
-        "best_fidelity": best_fid,
+        "taus": scan.taus,
+        "fidelities": scan.fidelities,
+        "best_tau": scan.best_tau,
+        "best_fidelity": scan.best_fidelity,
     }
     return render_json(out), 0
 

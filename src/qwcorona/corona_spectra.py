@@ -34,7 +34,7 @@ from .graphs import (
     signless_laplacian,
     vertex_complemented_corona,
 )
-from .spectra import SpectralDecomposition, strong_cospectrality
+from .spectra import SpectralDecomposition, _phase_sum, strong_cospectrality
 
 # a factor's top eigenvalue must lie this close to 2*r
 MATCH_TOL = 1e-8
@@ -328,13 +328,9 @@ def corona_transition_element(
     taus,
 ):
     """Walk amplitude (u,0) -> (v,0) on the corona, from G's spectrum alone."""
-    taus_arr = np.asarray(taus, dtype=float)
-    out = np.zeros(taus_arr.shape, dtype=complex)
-    for weight, a, d, sign in _amplitude_terms(gdec, params, u, v):
-        out = out + weight * np.exp(-0.5j * taus_arr * (a + sign * math.sqrt(d)))
-    if np.isscalar(taus) or getattr(taus, "ndim", 0) == 0:
-        return complex(out)
-    return out
+    rows = _amplitude_terms(gdec, params, u, v)
+    freqs = [(a + sign * math.sqrt(d)) / 2 for _, a, d, sign in rows]
+    return _phase_sum([row[0] for row in rows], freqs, taus)
 
 
 def corona_full_q(g: Graph, h: Graph) -> np.ndarray:

@@ -152,15 +152,28 @@ def decompose_graph(g: Graph) -> SpectralDecomposition:
     return decompose(signless_laplacian(g))
 
 
+def _phase_sum(weights, freqs, taus):
+    """sum_k weights[k] * exp(-i * tau * freqs[k]) for a scalar tau or an array of times.
+
+    With sum |w_k| <= 1 (true of every caller), each f off by eps * max|f| (LAPACK's
+    eps * ||Q||_2 for a dense eigenvalue of Q >= 0; one rounded sqrt and sum for a
+    closed-form (a + sign*sqrt(D))/2, a >= 0) and tau * f rounded, the fidelity is off
+    by at most 3 * eps * max|tau| * max|f|; a time whose bound exceeds 1e-6 raises.
+    """
+    taus_arr = np.asarray(taus, dtype=float)
+    t_abs = float(np.max(np.abs(taus_arr), initial=0.0))
+    bound = 3.0 * np.finfo(float).eps * t_abs * float(max(map(abs, freqs)))
+    if bound > 1e-6:
+        raise ValueError(f"time {t_abs:.12g} is too large: fidelity error bound {bound:.3g} > 1e-6")
+    out = np.zeros(taus_arr.shape, dtype=complex)
+    for w, f in zip(weights, freqs):
+        out = out + np.exp(-1j * taus_arr * f) * w
+    return complex(out) if taus_arr.ndim == 0 else out
+
+
 def transition_amplitude(dec: SpectralDecomposition, u: int, v: int, taus):
     """Entry U_Q(tau)[u, v] for a scalar tau or an array of times."""
-    taus_arr = np.asarray(taus, dtype=float)
-    out = np.zeros(taus_arr.shape, dtype=complex)
-    for theta, f_uv in zip(dec.eigenvalues, dec.entries(u, v)):
-        out = out + np.exp(-1j * taus_arr * theta) * f_uv
-    if np.isscalar(taus) or getattr(taus, "ndim", 0) == 0:
-        return complex(out)
-    return out
+    return _phase_sum(dec.entries(u, v), dec.eigenvalues, taus)
 
 
 def _vanishes(cols: np.ndarray) -> np.ndarray:
@@ -209,8 +222,6 @@ def _golden(func, xa, xb, xc):
     method, so results agree bit for bit.  Returns (x, func(x)); raises
     ValueError unless func(xb) lies below both func(xa) and func(xc).
     """
-    if xa > xc:
-        xa, xc = xc, xa
     if not (xa < xb < xc):
         raise ValueError("bracket points are not ordered xa < xb < xc")
     fa, fb, fc = func(xa), func(xb), func(xc)
@@ -260,46 +271,44 @@ class FidelityScan:
 
 
 def fidelity_scan(
-    dec: SpectralDecomposition, u: int, v: int, t_max: float, steps: int
+    dec: SpectralDecomposition, u: int, v: int, t_max: float, steps: int, start: float = 0.0
 ) -> FidelityScan:
-    """Sample |U(tau)_{uv}|^2 over tau in (0, t_max] and refine the maximum.
+    """Sample |U(tau)_{uv}|^2 over tau in (start, t_max] and refine the maximum.
 
-    The grid has `steps` uniform points ending at t_max.  Around the best
-    grid point the maximum is sharpened by a golden-section search,
-    bracketed by the two neighbours where they bracket it and bounded by
-    them otherwise; the refined value is never below the grid value.  Ties
-    on the grid resolve to the smaller tau.
+    The grid is start + (t_max - start)*k/steps, k = 1..steps.  Around the best
+    grid point a golden-section search sharpens the maximum, bracketed by the two
+    neighbours where they bracket it and bounded by them (or start) otherwise; the
+    refined value is never below the grid value.  Ties resolve to the smaller tau.
     """
-    if t_max <= 0:
-        raise ValueError(f"t_max must be positive, got {t_max}")
     if not math.isfinite(t_max):
         raise ValueError(f"t_max must be finite, got {t_max}")
+    if not 0 <= start < t_max:
+        raise ValueError(f"need 0 <= start < t_max, got start={start}, t_max={t_max}")
     steps = int(steps)
     if steps < 2:
         raise ValueError(f"steps must be at least 2, got {steps}")
 
-    taus = t_max * np.arange(1, steps + 1) / steps
-    amps = transition_amplitude(dec, u, v, taus)
-    fids = np.abs(amps) ** 2
+    weights = dec.entries(u, v)
+    taus = start + (t_max - start) * np.arange(1, steps + 1) / steps
+    fids = np.abs(_phase_sum(weights, dec.eigenvalues, taus)) ** 2
 
     best = int(np.argmax(fids))
     best_tau = float(taus[best])
     best_fid = float(fids[best])
 
-    lo = float(taus[best - 1]) if best > 0 else 0.0
+    lo = float(taus[best - 1]) if best > 0 else start
     hi = float(taus[best + 1]) if best + 1 < steps else float(taus[best])
 
     def neg_fid(t: float) -> float:
-        return -abs(transition_amplitude(dec, u, v, float(t))) ** 2
+        return -abs(_phase_sum(weights, dec.eigenvalues, float(t))) ** 2
 
-    if hi > lo:
-        try:
-            cand_tau, cand_fid = _golden(neg_fid, lo, best_tau, hi)
-        except ValueError:
-            cand_tau, cand_fid = _bounded_golden(neg_fid, lo, hi)
-        cand_fid = -cand_fid
-        if lo < cand_tau <= t_max and cand_fid > best_fid:
-            best_tau, best_fid = cand_tau, cand_fid
+    try:
+        cand_tau, cand_fid = _golden(neg_fid, lo, best_tau, hi)
+    except ValueError:
+        cand_tau, cand_fid = _bounded_golden(neg_fid, lo, hi)
+    cand_fid = -cand_fid
+    if lo < cand_tau <= t_max and cand_fid > best_fid:
+        best_tau, best_fid = cand_tau, cand_fid
 
     taus.flags.writeable = False
     fids.flags.writeable = False

@@ -135,6 +135,7 @@ def corona_builds(monkeypatch):
         (["fidelity", "corona(K:2,K:1)", "0", "1", "--tau", "1"], 1),
         (["check-pst", "corona(K:2,K:1)", "copy:0:0", "copy:1:0"], 1),
         (["check-pst", "corona(corona(K:2,K:1),K:1)", "base:0", "base:1"], 2),
+        (["corona-spectrum", "C:4", "K:2"], 1),
     ],
 )
 def test_commands_build_the_corona_only_when_they_read_it(capsys, corona_builds, argv, builds):
@@ -143,6 +144,22 @@ def test_commands_build_the_corona_only_when_they_read_it(capsys, corona_builds,
     code, _, err = run(capsys, argv)
     assert code in (0, 3), err
     assert len(corona_builds) == builds
+
+
+@pytest.mark.parametrize(
+    "spec, u, v",
+    [
+        ("corona(C:60,C:25)", "base:0", "base:0"),
+        ("corona(C:6,K:1)", "copy:2:0", "copy:2:0"),
+        ("corona(C:6,K:1)", "0", "base:0"),
+        ("K:2", "1", "1"),
+    ],
+)
+def test_check_pst_rejects_equal_addresses_before_building(capsys, corona_builds, spec, u, v):
+    code, out, err = run(capsys, ["check-pst", spec, u, v])
+    assert (code, out) == (2, "")
+    assert err == "error: strong cospectrality needs two distinct vertices\n"
+    assert corona_builds == []
 
 
 # =========================================================================
@@ -580,6 +597,10 @@ def test_fidelity_offset_grid(capsys):
     assert out["taus"][0] > 1.0
     assert out["taus"][-1] == pytest.approx(2.0)
     assert len(out["taus"]) == 10
+    # the K2 peak at pi/2 lies between the grid points 1.5 and 1.6; the
+    # refined maximum finds it, as on a grid from 0
+    assert out["best_fidelity"] == 1.0
+    assert out["best_tau"] == pytest.approx(math.pi / 2, abs=1e-6)
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
@@ -611,6 +632,15 @@ def test_fidelity_rejects_non_finite_times(capsys, flags, error):
     code, out, err = run(capsys, ["fidelity", "K:2", "0", "1", *flags])
     assert (code, out) == (2, "")
     assert err.startswith("error: " + error)
+
+
+@pytest.mark.parametrize(
+    "flags", [["--tau", "1e300"], ["--t-max", "1e300", "--steps", "3"], ["--grid", "0:1e300:3"]]
+)
+def test_fidelity_refuses_times_beyond_its_accuracy(capsys, flags):
+    code, out, err = run(capsys, ["fidelity", "K:2", "0", "1", "--format", "json", *flags])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: time 1e+300 is too large: fidelity error bound")
 
 
 def test_fidelity_grid_validation(capsys):

@@ -164,7 +164,16 @@ def test_float_path_for_irrational_base():
 
 
 def test_projector_invariants():
-    for gspec, hspec in [("K:2", "K:1"), ("C:4", "K:2"), ("CP:3", "K:1")]:
+    # an edgeless attachment has a multiple top eigenvalue, whose shift
+    # block drops the all-ones direction
+    for gspec, hspec in [
+        ("K:2", "K:1"),
+        ("C:4", "K:2"),
+        ("CP:3", "K:1"),
+        ("K:3", "empty:2"),
+        ("C:5", "empty:3"),
+        ("CP:2", "empty:3"),
+    ]:
         g, h, params, gdec, hdec = build(gspec, hspec)
         spec = corona_spectrum(gdec, hdec, params)
         n = params.n1 * (1 + params.n2)
@@ -216,6 +225,12 @@ def test_transition_element_vectorized():
     assert vec.shape == (3,)
     for k, tau in enumerate(taus):
         assert abs(vec[k] - corona_transition_element(gdec, params, 0, 1, float(tau))) < 1e-12
+
+
+def test_transition_element_refuses_times_beyond_its_accuracy():
+    _, _, params, gdec, hdec = build("K:2", "K:1")
+    with pytest.raises(ValueError, match="time 1e\\+300 is too large"):
+        corona_transition_element(gdec, params, 0, 1, 1e300)
 
 
 # =========================================================================

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -234,6 +235,16 @@ def test_transition_amplitude_scalar_and_vector():
     assert transition_amplitude(k2, 0, 1, math.pi / 2) == pytest.approx(-1.0, abs=1e-9)
 
 
+def test_amplitude_refuses_times_beyond_its_accuracy():
+    # the fidelity error bound 3*eps*tau*max|theta| passes 1e-6 on K2
+    # (max|theta| = 2) between tau = 7e8 and 8e8
+    dec = decompose_graph(complete_graph(2))
+    transition_amplitude(dec, 0, 1, 7e8)
+    for taus, named in ((1e300, "1e+300"), (8e8, "800000000"), (np.array([1.0, -8e8]), "800000000")):
+        with pytest.raises(ValueError, match=f"time {re.escape(named)} is too large"):
+            transition_amplitude(dec, 0, 1, taus)
+
+
 def test_amplitude_at_zero_is_identity():
     dec = decompose_graph(cycle_graph(4))
     assert transition_amplitude(dec, 0, 0, 0.0) == pytest.approx(1.0, abs=1e-12)
@@ -334,6 +345,18 @@ def test_fidelity_scan_grid_shape():
     assert len(scan.fidelities) == 100
     assert scan.taus[0] > 0
     assert scan.taus[-1] == pytest.approx(10.0, abs=1e-12)
+
+
+def test_fidelity_scan_offset_grid_refines_its_maximum():
+    # K2 fidelity sin^2(tau) peaks at pi/2, between the grid points 1.5 and 1.6
+    dec = decompose_graph(complete_graph(2))
+    scan = fidelity_scan(dec, 0, 1, 2.0, 10, start=1.0)
+    assert np.array_equal(scan.taus, 1.0 + 1.0 * np.arange(1, 11) / 10)
+    assert scan.best_fidelity == pytest.approx(1.0, abs=1e-12)
+    assert scan.best_tau == pytest.approx(math.pi / 2, abs=1e-6)
+    for start in (-1.0, 2.0, math.nan):
+        with pytest.raises(ValueError, match="need 0 <= start < t_max"):
+            fidelity_scan(dec, 0, 1, 2.0, 10, start=start)
 
 
 def test_fidelity_scan_refinement_beats_grid():
