@@ -39,11 +39,11 @@ def is_perfect_square(n: int) -> bool:
 def square_free_part(n: int) -> tuple[int, int]:
     """Split n > 0 as n = s**2 * c with c square-free; returns (s, c).
 
-    Trial division up to FACTOR_CEILING.  A leftover cofactor whose prime
-    factors all exceed the ceiling is certified square-free when it is a
-    prime or a product of two distinct primes (guaranteed below
-    ceiling**3 once perfect squares are peeled off); anything larger
-    raises instead of guessing.
+    Trial division by p while p**3 <= the cofactor.  What is left then has
+    no prime factor below p and is below p**3, so it is 1, a prime, a
+    product of two distinct primes, or the square of a prime: square-free
+    unless it is a perfect square.  A cofactor that would need p past
+    FACTOR_CEILING raises instead of dividing on.
     """
     n = operator.index(n)
     if n <= 0:
@@ -51,7 +51,11 @@ def square_free_part(n: int) -> tuple[int, int]:
     s, c = 1, 1
     rem = n
     p = 2
-    while p * p <= rem and p <= FACTOR_CEILING:
+    while p * p * p <= rem:
+        if p > FACTOR_CEILING:
+            raise ValueError(
+                f"cannot certify the square-free part of {n} with ceiling {FACTOR_CEILING}"
+            )
         if rem % p == 0:
             k = 0
             while rem % p == 0:
@@ -61,17 +65,10 @@ def square_free_part(n: int) -> tuple[int, int]:
             if k % 2:
                 c *= p
         p += 1 if p == 2 else 2
-    if rem > 1:
-        if p * p > rem:
-            c *= rem
-        elif is_perfect_square(rem):
-            s *= math.isqrt(rem)
-        elif rem < FACTOR_CEILING**3:
-            c *= rem
-        else:
-            raise ValueError(
-                f"cannot certify the square-free part of {n} with ceiling {FACTOR_CEILING}"
-            )
+    if is_perfect_square(rem):
+        s *= math.isqrt(rem)
+    else:
+        c *= rem
     return s, c
 
 

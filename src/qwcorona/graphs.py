@@ -24,9 +24,9 @@ class Graph:
         a = np.array(self.adjacency, dtype=float)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise ValueError(f"adjacency must be square, got shape {a.shape}")
-        if not np.array_equal(a, a.T):
+        if not (a == a.T).all():
             raise ValueError("adjacency must be symmetric")
-        if np.any(np.diag(a) != 0):
+        if a.diagonal().any():
             raise ValueError("loops are not allowed")
         if not np.all((a == 0) | (a == 1)):
             raise ValueError("adjacency entries must be 0 or 1")
@@ -50,13 +50,13 @@ class Graph:
 def regular_degree(g: Graph) -> int:
     """Common degree of a regular graph; names the offending vertex otherwise."""
     degs = g.degrees()
-    ref = int(degs[0])
-    for i, d in enumerate(degs):
-        if int(d) != ref:
-            raise ValueError(
-                f"regularity violation at vertex {i}: degree {int(d)} != {ref}"
-            )
-    return ref
+    bad = np.flatnonzero(degs != degs[0])
+    if bad.size:
+        i = int(bad[0])
+        raise ValueError(
+            f"regularity violation at vertex {i}: degree {int(degs[i])} != {int(degs[0])}"
+        )
+    return int(degs[0])
 
 
 def is_connected(g: Graph) -> bool:
@@ -88,8 +88,8 @@ def cycle_graph(n: int) -> Graph:
     if n < 3:
         raise ValueError(f"cycle length must be at least 3, got {n}")
     a = np.zeros((n, n))
-    for i in range(n):
-        a[i, (i + 1) % n] = a[(i + 1) % n, i] = 1
+    i = np.arange(n)
+    a[i, (i + 1) % n] = a[(i + 1) % n, i] = 1
     return Graph(a, name=f"C:{n}")
 
 
@@ -201,11 +201,15 @@ def vertex_complemented_corona(g: Graph, h: Graph) -> Graph:
 
 def _hop_distances(g: Graph, source: int) -> np.ndarray:
     """Breadth-first hop distances from source; -1 when unreachable."""
+    # every vertex's neighbours from one scan of the adjacency
+    cols = np.nonzero(g.adjacency)[1].tolist()
+    ends = np.cumsum(g.degrees()).tolist()
+    neighbors = [cols[lo:hi] for lo, hi in zip([0] + ends, ends)]
     dist = [-1] * g.n
     dist[source] = 0
     queue = [source]
     for u in queue:
-        for v in g.neighbors(u).tolist():
+        for v in neighbors[u]:
             if dist[v] < 0:
                 dist[v] = dist[u] + 1
                 queue.append(v)

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -38,6 +38,7 @@ class SpectralDecomposition:
     multiplicities: tuple
     vectors: np.ndarray
     warnings: tuple = ()
+    _recent_columns: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def n(self) -> int:
@@ -53,16 +54,20 @@ class SpectralDecomposition:
         return _Projectors(self.vectors, self._starts, self.multiplicities)
 
     def columns(self, u: int) -> np.ndarray:
-        """The n x k matrix whose column k is F_k e_u."""
-        return np.add.reduceat(self.vectors * self.vectors[u], self._starts, axis=1)
+        """The read-only n x k matrix whose column k is F_k e_u.  The last two
+        vertices' matrices are kept, since a pair decision reads each twice."""
+        cols = self._recent_columns.get(u)
+        if cols is None:
+            cols = np.add.reduceat(self.vectors * self.vectors[u], self._starts, axis=1)
+            cols.flags.writeable = False
+            if len(self._recent_columns) >= 2:
+                self._recent_columns.clear()
+            self._recent_columns[u] = cols
+        return cols
 
     def entries(self, u: int, v: int) -> np.ndarray:
         """The k-vector of F_k[u, v]."""
         return np.add.reduceat(self.vectors[u] * self.vectors[v], self._starts)
-
-    def reconstruct(self) -> np.ndarray:
-        vals = np.repeat(self.eigenvalues, self.multiplicities)
-        return (self.vectors * vals) @ self.vectors.T
 
 
 class _Projectors(Sequence):
@@ -98,14 +103,18 @@ def decompose(q: np.ndarray) -> SpectralDecomposition:
 
     An eigenvalue joins a cluster when it lies within DEFAULT_CLUSTER_TOL
     of the cluster's largest member; the threshold is absolute, not scaled
-    by the spectral norm of q.  When two clusters sit closer than ten times
-    DEFAULT_CLUSTER_TOL a warning string is attached to the result.  q must
-    equal its transpose to within 1e-10 in every entry.
+    by the spectral norm of q.  A cluster's value is np.mean of its members
+    to the bit: np.mean sums from +0.0, so one member x gives x + 0.0 (a -0.0
+    becomes 0.0) and two give (0.0 + x + y) / 2; only clusters of three or
+    more call np.mean, whose pairwise sum no shorter formula matches.  When
+    two clusters sit closer than ten times DEFAULT_CLUSTER_TOL a warning
+    string is attached.  q must be non-empty and equal its transpose to
+    within 1e-10 in every entry.
     """
     q = np.asarray(q, dtype=float)
-    if q.ndim != 2 or q.shape[0] != q.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {q.shape}")
-    if not np.allclose(q, q.T, rtol=0.0, atol=1e-10):
+    if q.ndim != 2 or q.shape[0] != q.shape[1] or q.size == 0:
+        raise ValueError(f"expected a non-empty square matrix, got shape {q.shape}")
+    if not np.abs(q - q.T).max() <= 1e-10:
         raise ValueError("expected a symmetric matrix")
 
     vals, vecs = np.linalg.eigh(q)
@@ -116,19 +125,23 @@ def decompose(q: np.ndarray) -> SpectralDecomposition:
     vecs = vecs[:, order]
     vecs.flags.writeable = False
 
-    clusters = []
+    # tuples from lists, never generators: CPython's per-length tuple free
+    # lists fill when a tuple is allocated at one length and freed at another
+    eigenvalues, multiplicities = [], []
+    members = vals.tolist()
     start = 0
-    for i in range(1, len(vals)):
-        if vals[start] - vals[i] > DEFAULT_CLUSTER_TOL:
-            clusters.append((start, i))
+    for i in range(1, len(members) + 1):
+        if i == len(members) or members[start] - members[i] > DEFAULT_CLUSTER_TOL:
+            m = i - start
+            if m == 1:
+                mean = members[start] + 0.0
+            elif m == 2:
+                mean = (0.0 + members[start] + members[start + 1]) / 2
+            else:
+                mean = float(np.mean(vals[start:i]))
+            eigenvalues.append(mean)
+            multiplicities.append(m)
             start = i
-    clusters.append((start, len(vals)))
-
-    # tuples from lists, not generators: a generator-built tuple is allocated
-    # at one length and freed at another, so CPython's per-length tuple free
-    # lists fill (up to 2000 tuples per length) until a full gc collection
-    eigenvalues = tuple([float(np.mean(vals[lo:hi])) for lo, hi in clusters])
-    multiplicities = tuple([hi - lo for lo, hi in clusters])
 
     warnings = []
     for k in range(1, len(eigenvalues)):
@@ -141,8 +154,8 @@ def decompose(q: np.ndarray) -> SpectralDecomposition:
             )
 
     return SpectralDecomposition(
-        eigenvalues=eigenvalues,
-        multiplicities=multiplicities,
+        eigenvalues=tuple(eigenvalues),
+        multiplicities=tuple(multiplicities),
         vectors=vecs,
         warnings=tuple(warnings),
     )
@@ -158,10 +171,12 @@ def _phase_sum(weights, freqs, taus):
     With sum |w_k| <= 1 (true of every caller), each f off by eps * max|f| (LAPACK's
     eps * ||Q||_2 for a dense eigenvalue of Q >= 0; one rounded sqrt and sum for a
     closed-form (a + sign*sqrt(D))/2, a >= 0) and tau * f rounded, the fidelity is off
-    by at most 3 * eps * max|tau| * max|f|; a time whose bound exceeds 1e-6 raises.
+    by at most 3 * eps * max|tau| * max|f|; a non-finite time, or a bound over 1e-6, raises.
     """
     taus_arr = np.asarray(taus, dtype=float)
     t_abs = float(np.max(np.abs(taus_arr), initial=0.0))
+    if not math.isfinite(t_abs):
+        raise ValueError(f"time must be finite, got {t_abs}")
     bound = 3.0 * np.finfo(float).eps * t_abs * float(max(map(abs, freqs)))
     if bound > 1e-6:
         raise ValueError(f"time {t_abs:.12g} is too large: fidelity error bound {bound:.3g} > 1e-6")

@@ -35,6 +35,12 @@ def as_decomposition(spectrum: CoronaSpectrum):
     return tuple(eigenvalues), tuple(multiplicities), tuple(projectors)
 
 
+def reconstruct(dec: SpectralDecomposition) -> np.ndarray:
+    """The matrix sum_k theta_k F_k, rebuilt from the eigenvectors."""
+    vals = np.repeat(dec.eigenvalues, dec.multiplicities)
+    return (dec.vectors * vals) @ dec.vectors.T
+
+
 def support_from_projectors(dec: SpectralDecomposition, u: int) -> tuple:
     """`eigenvalue_support` as a loop over dense projectors."""
     return tuple(

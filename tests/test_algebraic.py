@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+import sympy
 
 from qwcorona import (
     CoronaParams,
@@ -14,6 +15,7 @@ from qwcorona import (
     generate,
     signless_laplacian,
 )
+from qwcorona import algebraic
 from qwcorona.algebraic import (
     InvalidSupportError,
     QuadExt,
@@ -46,6 +48,43 @@ def test_square_free_part_examples():
     assert square_free_part(12) == (2, 3)
     assert square_free_part(340) == (2, 85)
     assert square_free_part(16762772) == (26, 24797)
+
+
+def _sympy_square_free_part(n):
+    s = c = 1
+    for p, k in sympy.factorint(n).items():
+        s *= p ** (k // 2)
+        c *= p ** (k % 2)
+    return s, c
+
+
+def _near_cube_root_cases():
+    # the trial division stops once p**3 exceeds the cofactor: products of
+    # primes just above that point, prime squares, and 2 * (prime)**2
+    out = []
+    for p in (11, 101, 1009, 7919, 10007):
+        q = sympy.nextprime(p * p)
+        out += [p * p, p * q, p * sympy.prevprime(p * p), p * p * p, p * p * sympy.nextprime(p), 2 * p * p]
+        out += [q * q, 2 * q * q, p * sympy.nextprime(p)]
+    return out
+
+
+def test_square_free_part_matches_sympy():
+    rng = np.random.default_rng(20261019)
+    cases = list(range(1, 20001))
+    cases += [int(x) for x in rng.integers(1, 10**13, size=300)]
+    cases += _near_cube_root_cases()
+    for n in cases:
+        assert square_free_part(n) == _sympy_square_free_part(n), n
+
+
+def test_square_free_part_raises_past_the_ceiling(monkeypatch):
+    monkeypatch.setattr(algebraic, "FACTOR_CEILING", 100)
+    # 101 * 103 needs no divisor past 100; 101 * 103 * 107 >= 101**3 would
+    assert square_free_part(101 * 103) == (1, 101 * 103)
+    assert square_free_part(4 * 101 * 101) == (2 * 101, 1)
+    with pytest.raises(ValueError, match="cannot certify the square-free part of 1113121"):
+        square_free_part(101 * 103 * 107)
 
 
 def test_square_free_part_rejects_nonpositive():

@@ -274,3 +274,24 @@ def test_corona_route_recognizes_no_float(monkeypatch):
             reached.append((gspec, hspec, u, v))
             assert all(isinstance(x, QuadExt) for x, _ in certified[0])
     assert ("K:2", "K:1", 0, 1) in reached and ("C:6", "C:79", 0, 3) in reached
+
+
+def test_a_decision_costs_two_factor_eigensolves(monkeypatch):
+    # counted, not timed: one decompose per factor, and each endpoint's
+    # projector columns reduced once (one array per endpoint), though the
+    # refutations, strong cospectrality and the nonperiodic fallback all
+    # read them
+    import qwcorona.spectra as sp
+    import qwcorona.state_transfer as st
+
+    decompose_, columns = sp.decompose, sp.SpectralDecomposition.columns
+    for hspec, u, v, basis in (("K:20", 0, 7, "not-strongly-cospectral"), ("C:20", 0, 20, "nonperiodic-endpoint")):
+        sizes, read = [], []
+        monkeypatch.setattr(st, "decompose", lambda q: sizes.append(q.shape[0]) or decompose_(q))
+        monkeypatch.setattr(
+            sp.SpectralDecomposition, "columns", lambda self, w: read.append((w, columns(self, w))) or read[-1][1]
+        )
+        assert corona_base_pst_check(generate("C:40"), generate(hspec), u, v).basis == basis
+        assert sizes == [40, 20]
+        assert len(read) >= 4 and {w for w, _ in read} == {u, v}
+        assert len({id(cols) for _, cols in read}) == 2

@@ -1,6 +1,8 @@
 """Tests for the closed-form corona spectrum against numeric oracles."""
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -231,6 +233,13 @@ def test_transition_element_refuses_times_beyond_its_accuracy():
     _, _, params, gdec, hdec = build("K:2", "K:1")
     with pytest.raises(ValueError, match="time 1e\\+300 is too large"):
         corona_transition_element(gdec, params, 0, 1, 1e300)
+
+
+def test_transition_element_refuses_non_finite_times():
+    _, _, params, gdec, hdec = build("K:2", "K:1")
+    for taus in (math.nan, np.array([0.5, math.nan])):
+        with pytest.raises(ValueError, match="time must be finite, got nan"):
+            corona_transition_element(gdec, params, 0, 1, taus)
 
 
 # =========================================================================

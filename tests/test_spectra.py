@@ -33,6 +33,7 @@ from qwcorona.spectra import (
 from oracle import (
     antipodal_identity_check,
     cospectrality_from_projectors,
+    reconstruct,
     support_from_projectors,
     transition_matrix,
 )
@@ -58,7 +59,7 @@ def test_decompose_projector_invariants():
                 assert np.allclose(f @ fj, 0, atol=1e-10)
             total += f
         assert np.allclose(total, np.eye(n), atol=1e-10)
-        assert np.allclose(dec.reconstruct(), q, atol=1e-9)
+        assert np.allclose(reconstruct(dec), q, atol=1e-9)
 
 
 def test_decompose_descending_and_multiplicities():
@@ -96,6 +97,14 @@ def test_projectors_read_only():
         dec.projectors[0][0, 0] = 5.0
     with pytest.raises(ValueError):
         dec.vectors[0, 0] = 5.0
+    with pytest.raises(ValueError):
+        dec.columns(0)[0, 0] = 5.0
+
+
+def test_decompose_rejects_non_square_and_empty():
+    for q in (np.zeros((2, 3)), np.zeros((0, 0)), np.zeros(3)):
+        with pytest.raises(ValueError, match="expected a non-empty square matrix"):
+            decompose(q)
 
 
 def test_decompose_rejects_nearly_symmetric():
@@ -103,6 +112,11 @@ def test_decompose_rejects_nearly_symmetric():
     with pytest.raises(ValueError, match="symmetric"):
         decompose(np.array([[0.0, 1.0], [1.0 + 1e-6, 0.0]]))
     decompose(np.array([[0.0, 1.0], [1.0 + 1e-11, 0.0]]))
+    # an entrywise asymmetry of exactly 1e-10 passes; more, or a NaN, raises
+    decompose(np.array([[1.0, 0.0], [1e-10, 1.0]]))
+    for q in ([[1.0, 0.0], [2e-10, 1.0]], [[1.0, math.nan], [math.nan, 1.0]], [[math.nan]]):
+        with pytest.raises(ValueError, match="expected a symmetric matrix"):
+            decompose(np.array(q))
 
 
 def _planted(seed: int, n: int):
@@ -166,12 +180,16 @@ def _reference_eigenvalues(q):
 
 
 def test_eigenvalues_keep_every_bit():
-    # the same eigh call, ordering and cluster means: equal floats, not close
-    # ones (a pinned literal would instead pin the LAPACK build and CPU)
+    # the same eigh call, ordering and cluster means: equal bits, the sign of
+    # a zero included, not close floats (a pinned literal would instead pin
+    # the LAPACK build and CPU)
     specs = SPECS + ["C:8", "C:12", "C:60", "K:7", "HQ:4", "halved:4", "corona(C:6,K:2)", "corona(K:3,C:4)"]
+    # attachments whose clusters have three or more members
+    specs += ["empty:12", "K:40", "CP:9"]
     for spec in specs:
         q = signless_laplacian(parse_spec(spec).graph)
-        assert decompose(q).eigenvalues == _reference_eigenvalues(q), spec
+        got, want = decompose(q).eigenvalues, _reference_eigenvalues(q)
+        assert [x.hex() for x in got] == [x.hex() for x in want], spec
 
 
 def test_decompose_peak_memory_is_a_few_matrices():
@@ -242,6 +260,13 @@ def test_amplitude_refuses_times_beyond_its_accuracy():
     transition_amplitude(dec, 0, 1, 7e8)
     for taus, named in ((1e300, "1e+300"), (8e8, "800000000"), (np.array([1.0, -8e8]), "800000000")):
         with pytest.raises(ValueError, match=f"time {re.escape(named)} is too large"):
+            transition_amplitude(dec, 0, 1, taus)
+
+
+def test_amplitude_refuses_non_finite_times():
+    dec = decompose_graph(complete_graph(2))
+    for taus in (math.nan, np.array([1.0, math.nan]), -math.inf):
+        with pytest.raises(ValueError, match="time must be finite, got (nan|inf)"):
             transition_amplitude(dec, 0, 1, taus)
 
 
