@@ -20,7 +20,7 @@ from functools import cached_property
 import numpy as np
 
 from .algebraic import DEFAULT_RECOGNITION_TOL, InternalInvariantError, QuadExt, as_exact
-from .corona_spectra import CoronaParams, corona_spectrum
+from .corona_spectra import SHIFT, CoronaParams, corona_spectrum
 from .graphs import (
     Graph,
     cocktail_party_graph,
@@ -283,35 +283,27 @@ def cmd_corona_spectrum(args, cfg: RunConfig) -> tuple:
 
     corona = ParsedSpec(text=f"corona({gspec.text},{hspec.text})", g=gspec.graph, h=hspec.graph)
     oracle = decompose(signless_laplacian(corona.graph))
-    closed_sorted = np.sort(
-        np.repeat(
-            [float(e.value) for e in spectrum.entries],
-            [e.multiplicity for e in spectrum.entries],
-        )
-    )
+    closed_sorted = np.sort(np.repeat(spectrum.floats, [row[4] for row in spectrum.rows]))
     oracle_sorted = np.sort(np.repeat(oracle.eigenvalues, oracle.multiplicities))
     max_dev = float(np.max(np.abs(closed_sorted - oracle_sorted)))
+    # a shift row's source is an eigenvalue of H, a pair row's one of G
+    origins = [
+        float((hdec if kind == SHIFT else gdec).eigenvalues[idx])
+        for kind, *_, idx in spectrum.rows
+    ]
 
     if cfg.format == "csv":
         lines = ["kind,value,origin,multiplicity"]
-        for e in spectrum.entries:
-            lines.append(
-                f"{e.kind},{_fmt_float(float(e.value))},{_fmt_float(e.origin)},{e.multiplicity}"
-            )
+        for (kind, *_, mult, _), x, origin in zip(spectrum.rows, spectrum.floats, origins):
+            lines.append(f"{kind},{_fmt_float(x)},{_fmt_float(origin)},{mult}")
         lines.append(f"# max_deviation,{_fmt_float(max_dev)}")
         return "\n".join(lines), 0
 
-    entries = []
-    for e in spectrum.entries:
-        entries.append(
-            {
-                "kind": e.kind,
-                "value": _value_json(e.value),
-                "origin": e.origin,
-                "multiplicity": e.multiplicity,
-                "radicand": e.radicand,
-            }
-        )
+    entries = [
+        {"kind": kind, "value": _value_json(spectrum.value(k)), "origin": origin,
+         "multiplicity": mult, "radicand": d if sign else None}
+        for k, ((kind, _, sign, d, mult, _), origin) in enumerate(zip(spectrum.rows, origins))
+    ]
     out = {
         "g": gspec.text,
         "h": hspec.text,
@@ -324,7 +316,7 @@ def cmd_corona_spectrum(args, cfg: RunConfig) -> tuple:
         "max_deviation": max_dev,
     }
     if args.materialize_projectors:
-        out["projectors"] = [spectrum.projector(k) for k in range(len(spectrum.entries))]
+        out["projectors"] = [spectrum.projector(k) for k in range(len(spectrum.rows))]
     return render_json(out), 0
 
 

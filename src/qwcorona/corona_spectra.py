@@ -12,21 +12,26 @@ t = n2*(n1 - 1):
   top pair   ((2*r1 + s + t) +/- sqrt((2*r1 - s + t)^2
              + 4*n2*(n1 - 1)^2)) / 2
 
-Values are carried exactly (QuadExt) whenever the source spectrum is
-integral, so downstream certification needs no float recognition.  The
-amplitude between base vertices (u,0) and (v,0) comes from G's
-decomposition alone, without assembling the corona: `_amplitude_terms`
-lists its terms, one weight per pair member, and is the one source of
-that amplitude for both `corona_transition_element` and the PGST scan.
+`corona_spectrum` returns the spectrum as one table of integer rows
+(kind, a, sign, D, multiplicity, source index), one row per value
+(a + sign*sqrt(D))/2; a and D are ints whenever the source eigenvalue is
+integral, so downstream certification needs no float recognition, and a
+QuadExt is built only for a value that is read as one.  `_pair_rows`
+builds the pair rows from G's decomposition alone, and every reader of
+pair data takes them from there: the certifier's merged signs, and
+`_amplitude_terms`, the one source of the amplitude between base
+vertices (u,0) and (v,0) for both `corona_transition_element` and the
+PGST scan.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .algebraic import DEFAULT_RECOGNITION_TOL, InternalInvariantError, QuadExt
+from .algebraic import DEFAULT_RECOGNITION_TOL, InternalInvariantError, QuadExt, square_free_part
 from .graphs import (
     Graph,
     is_connected,
@@ -95,23 +100,6 @@ def top_radicand(params: CoronaParams) -> int:
     return x * x + 4 * params.n2 * (params.n1 - 1) ** 2
 
 
-@dataclass(frozen=True)
-class CoronaEigenvalue:
-    """One closed-form eigenvalue: family tag, exact or float value, origin.
-
-    `origin` is the source eigenvalue (mu of H for shifts, theta of G for
-    pairs), `radicand` the integer (or float) D with pair gap sqrt(D), and
-    `source_index` the position of the origin in its decomposition.
-    """
-
-    kind: str
-    value: object
-    origin: float
-    multiplicity: int
-    radicand: object = None
-    source_index: int = -1
-
-
 def _as_int(x: float) -> int | None:
     r = round(float(x))
     if abs(float(x) - r) <= DEFAULT_RECOGNITION_TOL:
@@ -119,17 +107,33 @@ def _as_int(x: float) -> int | None:
     return None
 
 
-def _base_pairs(gdec: SpectralDecomposition, params: CoronaParams) -> list:
-    """(index, theta, x, D) per base eigenvalue, top first.
+def _check_factor(dec: SpectralDecomposition, n: int, r: int, name: str, which: int) -> None:
+    """The decomposition of a factor has order n and top eigenvalue 2*r."""
+    if sum(dec.multiplicities) != n:
+        raise ValueError(f"{name} decomposition has order {sum(dec.multiplicities)}, expected {n}")
+    top = dec.eigenvalues[0]
+    if abs(top - 2 * r) > MATCH_TOL:
+        raise ValueError(f"top {name} eigenvalue {top:.12g} does not equal 2*r{which} = {2 * r}")
 
-    x = theta - s + t and D is the squared pair gap x^2 + 4*n2, or
-    `top_radicand` at the top, where theta is 2*r1.  theta and D are ints
-    when theta lies within DEFAULT_RECOGNITION_TOL of an integer, floats
-    otherwise.
+
+def _pair_rows(gdec: SpectralDecomposition, params: CoronaParams) -> list:
+    """The pair rows of a validated base, top first, plus member before minus.
+
+    Each base eigenvalue theta gives the rows (kind, a, sign, D,
+    multiplicity, source index) of its members (a + sign*sqrt(D))/2, with
+    a = theta + s + t and D the squared pair gap x^2 + 4*n2, x = theta - s
+    + t, or `top_radicand` at the top, where theta is 2*r1.  a and D are
+    ints when theta lies within DEFAULT_RECOGNITION_TOL of an integer,
+    floats otherwise.
     """
+    if params.n1 < 2:
+        raise ValueError("corona needs at least two base vertices")
+    _check_factor(gdec, params.n1, params.r1, "base", 1)
+    if gdec.multiplicities[0] != 1:
+        raise ValueError("top base eigenvalue is not simple; base graph is disconnected")
     s, t = params.s, params.t
-    top = 2 * params.r1
-    out = [(0, top, top - s + t, top_radicand(params))]
+    a, d = 2 * params.r1 + s + t, top_radicand(params)
+    rows = [(TOP_PLUS, a, 1, d, 1, 0), (TOP_MINUS, a, -1, d, 1, 0)]
     for idx in range(1, len(gdec.eigenvalues)):
         theta = gdec.eigenvalues[idx]
         th_int = _as_int(theta)
@@ -137,77 +141,104 @@ def _base_pairs(gdec: SpectralDecomposition, params: CoronaParams) -> list:
             theta = th_int
         x = theta - s + t
         # x * x, not x ** 2: float radicands keep the bits of the scan's oracle
-        out.append((idx, theta, x, x * x + 4 * params.n2))
-    return out
-
-
-def _pair_values(a_sum: int | float, radicand):
-    """Both members of a pair: QuadExt when the radicand is an exact integer."""
-    if isinstance(radicand, int):
-        return QuadExt(a_sum, 1, radicand), QuadExt(a_sum, -1, radicand)
-    root = math.sqrt(float(radicand))
-    return (a_sum + root) / 2.0, (a_sum - root) / 2.0
-
-
-def _validate_base(gdec: SpectralDecomposition, params: CoronaParams) -> None:
-    if params.n1 < 2:
-        raise ValueError("corona needs at least two base vertices")
-    if sum(gdec.multiplicities) != params.n1:
-        raise ValueError(
-            f"base decomposition has order {sum(gdec.multiplicities)}, expected {params.n1}"
-        )
-    top = gdec.eigenvalues[0]
-    if abs(top - 2 * params.r1) > MATCH_TOL:
-        raise ValueError(
-            f"top base eigenvalue {top:.12g} does not equal 2*r1 = {2 * params.r1}"
-        )
-    if gdec.multiplicities[0] != 1:
-        raise ValueError("top base eigenvalue is not simple; base graph is disconnected")
+        a, d, m = theta + s + t, x * x + 4 * params.n2, gdec.multiplicities[idx]
+        rows += [(PAIR_PLUS, a, 1, d, m, idx), (PAIR_MINUS, a, -1, d, m, idx)]
+    return rows
 
 
 @dataclass(frozen=True)
 class CoronaSpectrum:
-    """Closed-form corona eigensystem with on-demand projector blocks."""
+    """Closed-form corona eigensystem as a row table, with on-demand projector blocks.
+
+    A row (kind, a, sign, D, multiplicity, source index) stands for the
+    value (a + sign*sqrt(D))/2.  Shift rows come first, one per eigenvalue
+    mu of H, with a = 2*(n1 - 1 + mu), sign 0, D 0 and the source index
+    into `hdec`; the pair rows of `_pair_rows` follow, top pair last, with
+    the source index into `gdec`.  A QuadExt is built only when `value`
+    is asked.
+    """
 
     params: CoronaParams
-    entries: tuple
+    rows: tuple
     gdec: SpectralDecomposition
     hdec: SpectralDecomposition
+
+    @cached_property
+    def _exact(self) -> tuple:
+        """(keys, floats): per row, the key of its number and its float.
+
+        Rows of one exact number share a key, the ints a QuadExt of it
+        takes: (2*value, 0, 1) for a rational, (a, sign, D) for a surd,
+        which equals no rational and no surd with another a, sign or D.  A
+        float row keys on its float.  An exact float is that of the
+        canonical form (a + b*sqrt(delta))/2, as `QuadExt.value` reads it,
+        after one isqrt and at most one square-free split per distinct D.
+        """
+        splits = {}
+        keys, floats = [], []
+        for _, a, sign, d, _, _ in self.rows:
+            if not isinstance(a, int):
+                key = x = (a + sign * math.sqrt(d)) / 2.0
+            else:
+                if d not in splits:
+                    r = math.isqrt(d)
+                    splits[d] = (r, 1) if r * r == d else square_free_part(d)
+                root, delta = splits[d]
+                b = sign * root
+                if delta == 1:
+                    key, x = (a + b, 0, 1), (a + b) / 2.0
+                else:
+                    key, x = (a, sign, d), (a + b * math.sqrt(delta)) / 2.0
+            keys.append(key)
+            floats.append(x)
+        return tuple(keys), tuple(floats)
+
+    @property
+    def floats(self) -> tuple:
+        """The value of every row as a float."""
+        return self._exact[1]
+
+    def value(self, k: int):
+        """The value of row k: a QuadExt when it is exact, its float otherwise."""
+        key = self._exact[0][k]
+        return QuadExt(*key) if isinstance(key, tuple) else key
 
     def base_signs(self, u: int, v: int):
         """Strong cospectrality of base vertices (u,0), (v,0), without projectors.
 
-        Shift projectors vanish on base columns.  A pair or top entry of
+        Shift projectors vanish on base columns.  A pair or top row of
         theta has column (w,0) equal to a nonzero multiple of F_theta e_w
         on base and copy rows alike (its value is never s), so its sign is
-        theta's sign in G.  Entries sharing a value merge by exact
-        equality; a shift never changes a merged sign, and two opposite
-        nonzero signs on one value break strong cospectrality.  Returns
-        (flag, values, signs) with one sign per distinct value, descending,
-        in the shape of `strong_cospectrality`.
+        theta's sign in G.  Rows sharing a value merge on their exact key;
+        a shift never changes a merged sign, and two opposite nonzero signs
+        on one value break strong cospectrality.  Returns (flag, rows,
+        signs) with one row index and one sign per distinct value,
+        descending, in the shape of `strong_cospectrality`.  The row is the
+        value's last, so a pair row whenever the value has one.
         """
         flag, theta_signs = strong_cospectrality(self.gdec, u, v)
-        merged = {}
-        for e in self.entries:
-            sg = 0 if e.kind == SHIFT else theta_signs[e.source_index]
-            old = merged.get(e.value, 0)
+        keys, floats = self._exact
+        last, merged = {}, {}
+        for k, (key, (_, _, sign, _, _, idx)) in enumerate(zip(keys, self.rows)):
+            sg = theta_signs[idx] if sign else 0
+            old = merged.get(key, 0)
             # None marks a value whose eigenspace carries opposite signs
-            merged[e.value] = None if old is None or old * sg < 0 else old or sg
-        values = sorted(merged, key=float, reverse=True)
+            merged[key] = None if old is None or old * sg < 0 else old or sg
+            last[key] = k
+        ks = sorted(last.values(), key=floats.__getitem__, reverse=True)
         flag = flag and None not in merged.values()
-        return flag, tuple(values), tuple([merged[x] or 0 for x in values])
+        return flag, tuple(ks), tuple([merged[keys[k]] or 0 for k in ks])
 
     def projector(self, k: int) -> np.ndarray:
-        """Materialize the dense eigenprojector of entry k in corona order."""
-        entry = self.entries[k]
+        """Materialize the dense eigenprojector of row k in corona order."""
+        kind, _, _, _, _, idx = self.rows[k]
         p = self.params
         n1, n2 = p.n1, p.n2
         total = n1 * (1 + n2)
         out = np.zeros((total, total))
-        if entry.kind == SHIFT:
-            f_mu = self.hdec.projectors[entry.source_index]
-            block = np.array(f_mu)
-            if entry.source_index == 0:
+        if kind == SHIFT:
+            block = np.array(self.hdec.projectors[idx])
+            if idx == 0:
                 # all-ones direction removed from the top attachment eigenspace
                 block -= np.ones((n2, n2)) / n2
             for i in range(n1):
@@ -215,14 +246,12 @@ class CoronaSpectrum:
                 out[lo : lo + n2, lo : lo + n2] = block
             return out
 
-        lam = float(entry.value)
-        w = p.s - lam
-        if entry.kind in (PAIR_PLUS, PAIR_MINUS):
-            f_th = self.gdec.projectors[entry.source_index]
+        w = p.s - self.floats[k]
+        f_th = self.gdec.projectors[idx]
+        if kind in (PAIR_PLUS, PAIR_MINUS):
             copy_weight = 1.0
             denom = w * w + n2
         else:
-            f_th = self.gdec.projectors[0]
             copy_weight = 1.0 - n1
             denom = w * w + n2 * (n1 - 1) ** 2
         ones_row = np.ones((1, n2))
@@ -241,83 +270,45 @@ def corona_spectrum(
     params: CoronaParams,
 ) -> CoronaSpectrum:
     """All eigenvalues of the corona from the two factor decompositions."""
-    _validate_base(gdec, params)
-    if sum(hdec.multiplicities) != params.n2:
-        raise ValueError(
-            f"attachment decomposition has order {sum(hdec.multiplicities)}, "
-            f"expected {params.n2}"
-        )
-    if abs(hdec.eigenvalues[0] - 2 * params.r2) > MATCH_TOL:
-        raise ValueError(
-            f"top attachment eigenvalue {hdec.eigenvalues[0]:.12g} does not equal "
-            f"2*r2 = {2 * params.r2}"
-        )
+    pairs = _pair_rows(gdec, params)
+    _check_factor(hdec, params.n2, params.r2, "attachment", 2)
 
     n1 = params.n1
-    s, t = params.s, params.t
-    entries = []
-
+    rows = []
     # shift family: one copy of H per base vertex, all-ones directions excluded
     for idx, (mu, m) in enumerate(zip(hdec.eigenvalues, hdec.multiplicities)):
         mult = n1 * (m - 1) if idx == 0 else n1 * m
-        if mult == 0:
-            continue
-        mu_int = _as_int(mu)
-        value = QuadExt.from_int(n1 - 1 + mu_int) if mu_int is not None else n1 - 1 + mu
-        entries.append(
-            CoronaEigenvalue(
-                kind=SHIFT,
-                value=value,
-                origin=float(mu),
-                multiplicity=mult,
-                radicand=None,
-                source_index=idx,
-            )
-        )
+        if mult:
+            mu_int = _as_int(mu)
+            rows.append((SHIFT, 2 * (n1 - 1 + (mu if mu_int is None else mu_int)), 0, 0, mult, idx))
+    # the top pair goes last
+    rows += pairs[2:] + pairs[:2]
 
-    # one pair per base eigenvalue; the top pair, from 2*r1, goes last
-    pairs = _base_pairs(gdec, params)
-    for idx, theta, _, radicand in pairs[1:] + pairs[:1]:
-        kinds = (TOP_PLUS, TOP_MINUS) if idx == 0 else (PAIR_PLUS, PAIR_MINUS)
-        for kind, value in zip(kinds, _pair_values(theta + s + t, radicand)):
-            entries.append(
-                CoronaEigenvalue(
-                    kind=kind,
-                    value=value,
-                    origin=float(gdec.eigenvalues[idx]),
-                    multiplicity=gdec.multiplicities[idx],
-                    radicand=radicand,
-                    source_index=idx,
-                )
-            )
-
-    total = sum(e.multiplicity for e in entries)
+    total = sum(row[4] for row in rows)
     expect = n1 * (1 + params.n2)
     if total != expect:
         raise InternalInvariantError(f"multiplicities sum to {total}, expected {expect}")
-    return CoronaSpectrum(params=params, entries=tuple(entries), gdec=gdec, hdec=hdec)
+    return CoronaSpectrum(params=params, rows=tuple(rows), gdec=gdec, hdec=hdec)
 
 
-def _amplitude_terms(gdec: SpectralDecomposition, params: CoronaParams, u: int, v: int):
-    """The amplitude (u,0) -> (v,0) as rows (weight, a, D, sign), two per pair.
+def _amplitude_terms(gdec: SpectralDecomposition, params: CoronaParams, rows, u: int, v: int):
+    """The amplitude (u,0) -> (v,0) as terms (weight, a, D, sign), one per pair row.
 
     A base eigenvalue theta puts weight F_theta[u,v]*(1 + sign*x/L)/2 on
     its pair member (a + sign*L)/2, where a = theta + s + t,
     x = theta - s + t and L = sqrt(D) is the pair gap (the top gap at
     theta = 2*r1), so the amplitude at tau is
-    sum weight*exp(-i*tau*(a + sign*sqrt(D))/2).  a and D are ints when
-    theta is integral, as in `_base_pairs`.
+    sum weight*exp(-i*tau*(a + sign*sqrt(D))/2).  `rows` are G's
+    `_pair_rows`.
     """
-    _validate_base(gdec, params)
     s, t = params.s, params.t
-    rows = []
     f_uv = gdec.entries(u, v)
-    for idx, theta, x, d in _base_pairs(gdec, params):
-        f = float(f_uv[idx])
-        lam = math.sqrt(d)
-        for sign in (1, -1):
-            rows.append((f * (1 + sign * x / lam) / 2, theta + s + t, d, sign))
-    return rows
+    terms = []
+    for _, a, sign, d, _, idx in rows:
+        # x = a - 2*s exactly for an integral theta; a float theta keeps its own bits
+        x = a - 2 * s if isinstance(a, int) else gdec.eigenvalues[idx] - s + t
+        terms.append((float(f_uv[idx]) * (1 + sign * x / math.sqrt(d)) / 2, a, d, sign))
+    return terms
 
 
 def corona_transition_element(
@@ -328,9 +319,9 @@ def corona_transition_element(
     taus,
 ):
     """Walk amplitude (u,0) -> (v,0) on the corona, from G's spectrum alone."""
-    rows = _amplitude_terms(gdec, params, u, v)
-    freqs = [(a + sign * math.sqrt(d)) / 2 for _, a, d, sign in rows]
-    return _phase_sum([row[0] for row in rows], freqs, taus)
+    terms = _amplitude_terms(gdec, params, _pair_rows(gdec, params), u, v)
+    freqs = [(a + sign * math.sqrt(d)) / 2 for _, a, d, sign in terms]
+    return _phase_sum([term[0] for term in terms], freqs, taus)
 
 
 def corona_full_q(g: Graph, h: Graph) -> np.ndarray:

@@ -216,29 +216,6 @@ def _hop_distances(g: Graph, source: int) -> np.ndarray:
     return np.array(dist)
 
 
-def distance_matrix(g: Graph) -> np.ndarray:
-    """All-pairs hop distances; -1 when unreachable."""
-    return np.array([_hop_distances(g, s) for s in range(g.n)])
-
-
-def diameter(g: Graph) -> int:
-    dist = distance_matrix(g)
-    if np.any(dist < 0):
-        raise ValueError("diameter needs a connected graph")
-    return int(dist.max())
-
-
-def distance_k_adjacency(g: Graph, k: int) -> np.ndarray:
-    """0/1 matrix with entry (u,v) = 1 iff the hop distance is exactly k."""
-    k = operator.index(k)
-    if k < 0:
-        raise ValueError(f"distance must be nonnegative, got {k}")
-    dist = distance_matrix(g)
-    if np.any(dist < 0):
-        raise ValueError("distance layers need a connected graph")
-    return (dist == k).astype(float)
-
-
 # ---------------------------------------------------------------------------
 # edge list files
 

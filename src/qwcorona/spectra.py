@@ -30,15 +30,16 @@ class SpectralDecomposition:
     multiplicity, in the same order, so the eigenprojector of cluster k,
     F_k = B_k B_k^T, comes from the columns B_k of that cluster.
     `columns` and `entries` read the F_k e_u and F_k[u, v] a decision
-    needs without forming any F_k; `projectors` builds a dense F_k on
-    first index and caches it.
+    needs without forming any F_k, and `vanishing` which F_k e_u are
+    zero; `projectors` builds a dense F_k on first index and caches it.
     """
 
     eigenvalues: tuple
     multiplicities: tuple
     vectors: np.ndarray
     warnings: tuple = ()
-    _recent_columns: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # vertex -> (columns, vanishing mask), for the last two vertices read
+    _recent: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def n(self) -> int:
@@ -56,14 +57,20 @@ class SpectralDecomposition:
     def columns(self, u: int) -> np.ndarray:
         """The read-only n x k matrix whose column k is F_k e_u.  The last two
         vertices' matrices are kept, since a pair decision reads each twice."""
-        cols = self._recent_columns.get(u)
-        if cols is None:
+        kept = self._recent.get(u)
+        if kept is None:
             cols = np.add.reduceat(self.vectors * self.vectors[u], self._starts, axis=1)
             cols.flags.writeable = False
-            if len(self._recent_columns) >= 2:
-                self._recent_columns.clear()
-            self._recent_columns[u] = cols
-        return cols
+            if len(self._recent) >= 2:
+                self._recent.clear()
+            kept = self._recent[u] = (cols, _vanishes(cols))
+        return kept[0]
+
+    def vanishing(self, u: int) -> np.ndarray:
+        """Per cluster k: is F_k e_u within DEFAULT_SUPPORT_TOL of zero (max
+        norm)?  Taken with u's columns and kept beside them."""
+        self.columns(u)
+        return self._recent[u][1]
 
     def entries(self, u: int, v: int) -> np.ndarray:
         """The k-vector of F_k[u, v]."""
@@ -198,8 +205,7 @@ def _vanishes(cols: np.ndarray) -> np.ndarray:
 
 def eigenvalue_support(dec: SpectralDecomposition, u: int) -> tuple:
     """Eigenvalues whose projector column at u exceeds DEFAULT_SUPPORT_TOL (max norm)."""
-    zero = _vanishes(dec.columns(u))
-    return tuple([theta for theta, z in zip(dec.eigenvalues, zero) if not z])
+    return tuple([theta for theta, z in zip(dec.eigenvalues, dec.vanishing(u)) if not z])
 
 
 def strong_cospectrality(dec: SpectralDecomposition, u: int, v: int):
@@ -212,9 +218,8 @@ def strong_cospectrality(dec: SpectralDecomposition, u: int, v: int):
     """
     if u == v:
         raise ValueError("strong cospectrality needs two distinct vertices")
-    x = dec.columns(u)
-    y = dec.columns(v)
-    x_zero, y_zero = _vanishes(x), _vanishes(y)
+    x_zero, y_zero = dec.vanishing(u), dec.vanishing(v)
+    x, y = dec.columns(u), dec.columns(v)
     plus, minus = _vanishes(x - y), _vanishes(x + y)
     nonzero = ~x_zero & ~y_zero
     matched = plus | minus

@@ -30,7 +30,6 @@ from .algebraic import (
     QuadExt,
     as_exact,
     classify_support,
-    common_half_form,
     is_perfect_square,
     square_free_part,
 )
@@ -39,7 +38,7 @@ from .corona_spectra import (
     CoronaSpectrum,
     _amplitude_terms,
     _as_int,
-    _base_pairs,
+    _pair_rows,
     corona_spectrum,
     pair_radicand,
     top_radicand,
@@ -128,43 +127,6 @@ class K2CoronaVerdict:
 
 # ---------------------------------------------------------------------------
 # periodicity
-
-
-def is_periodic_vertex(support, vertex=None) -> PeriodicityReport:
-    """Decide periodicity from the eigenvalue support alone.
-
-    Periodic iff all support values are integers, or all share the form
-    (a + b*sqrt(delta))/2 with a common a and square-free delta.  The
-    support is recognized as one list, so a float surd needs its conjugate
-    in it.
-    """
-    if not support:
-        raise ValueError("periodicity needs a nonempty support")
-    exact = as_exact(support)
-    for x, e in zip(support, exact):
-        if e is None:
-            return PeriodicityReport(
-                vertex=vertex,
-                periodic=False,
-                case=UNDECIDED,
-                basis="unrecognized-eigenvalues",
-                witness=float(x),
-            )
-    try:
-        _, delta, _ = common_half_form(exact)
-    except InvalidSupportError as err:
-        return _refuted(vertex, "mixed-support-form", str(err))
-    if delta == 1:
-        return PeriodicityReport(
-            vertex=vertex, periodic=True, case="integer-case", basis="integer-support", delta=1
-        )
-    return PeriodicityReport(
-        vertex=vertex,
-        periodic=True,
-        case="quadratic-case",
-        basis="common-surd-support",
-        delta=delta,
-    )
 
 
 def _refuted(vertex, basis: str, witness) -> PeriodicityReport:
@@ -414,24 +376,27 @@ def corona_pst_certify(spectrum: CoronaSpectrum, u: int, v: int) -> PSTReport:
 
     Same chain as `pst_certify`, fed by `CoronaSpectrum.base_signs` instead
     of dense corona projectors, so the cost is that of the factor
-    decompositions, and no value is recognized from a float.  A supported
-    value that is not a QuadExt comes from a non-integral theta in G's
-    support of u, which makes (u,0) nonperiodic (`corona_base_periodicity`),
-    so the pair has no PST (Godsil, "Periodic graphs", 2011); the verdict
-    is no-PST with that function's witness.  Every other support is exact.
+    decompositions, and no value is recognized from a float; a QuadExt is
+    built only for a supported value of a strongly cospectral pair.  A
+    supported float value comes from a pair row of a non-integral theta in
+    G's support of u, which makes (u,0) nonperiodic
+    (`corona_base_periodicity`), so the pair has no PST (Godsil, "Periodic
+    graphs", 2011); the verdict is no-PST with the largest such theta as
+    witness, the first supported float value's.  Every other support is
+    exact.
     """
-    flag, values, signs = spectrum.base_signs(u, v)
+    flag, ks, signs = spectrum.base_signs(u, v)
     if not flag:
-        return _not_strongly_cospectral(u, v, [float(x) for x in values], signs)
-    supported = [(x, sg) for x, sg in zip(values, signs) if sg != 0]
-    if all(isinstance(x, QuadExt) for x, _ in supported):
-        return _certify_support(u, v, supported)
-    base_support = eigenvalue_support(spectrum.gdec, u)
-    per = corona_base_periodicity(spectrum.params, base_support, vertex=u)
-    if per.basis != "non-integral-base-eigenvalue":
+        return _not_strongly_cospectral(u, v, [spectrum.floats[k] for k in ks], signs)
+    supported = [(k, spectrum.value(k), sg) for k, sg in zip(ks, signs) if sg != 0]
+    floating = [k for k, x, _ in supported if not isinstance(x, QuadExt)]
+    if not floating:
+        return _certify_support(u, v, [(x, sg) for _, x, sg in supported])
+    theta = spectrum.gdec.eigenvalues[spectrum.rows[floating[0]][5]]
+    if _as_int(theta) is not None:
         raise InternalInvariantError(
-            f"a float corona value is supported at {u}, but the base support "
-            f"{list(base_support)} gives {per.basis}"
+            f"a float corona value is supported at {u}, but its base eigenvalue "
+            f"{theta!r} is integral"
         )
     return PSTReport(
         u=u,
@@ -439,8 +404,8 @@ def corona_pst_certify(spectrum: CoronaSpectrum, u: int, v: int) -> PSTReport:
         verdict=NO_PST,
         basis="nonperiodic-endpoint",
         strongly_cospectral=True,
-        support=tuple(x for x, _ in supported),
-        refutation_witness={"vertex": u, "rule": per.basis, "witness": per.witness},
+        support=tuple(x for _, x, _ in supported),
+        refutation_witness={"vertex": u, "rule": "non-integral-base-eigenvalue", "witness": theta},
     )
 
 
@@ -546,10 +511,10 @@ class _PhaseTerm:
         return (((n * self.p) << _TURN_BITS) + self.sign * root) // (m * self.q) % _TURN
 
 
-def _phase_terms(gdec, params, u, v) -> list:
-    """The rows of `_amplitude_terms` as exact phase terms."""
+def _phase_terms(gdec, params, rows, u, v) -> list:
+    """The terms of `_amplitude_terms` on G's pair rows as exact phase terms."""
     terms = []
-    for weight, a, d, sign in _amplitude_terms(gdec, params, u, v):
+    for weight, a, d, sign in _amplitude_terms(gdec, params, rows, u, v):
         if isinstance(d, int):
             terms.append(_PhaseTerm(weight, a, 2, d, sign))
         else:
@@ -605,13 +570,15 @@ def pgst_scan(
     l_bound: int,
     g: int,
     l_start: int = 0,
+    rows=None,
 ):
     """Scan T_l = (4l + 2/g)*pi for l in [l_start, l_bound] on base fidelity.
 
     Stops at the first l whose fidelity reaches 1 - epsilon; otherwise
     reports the global maximum with ties resolved to the smaller l.
     Returns (best_l, time, fidelity, achieved), time being the float
-    (4.0*l + 2.0/g)*pi.
+    (4.0*l + 2.0/g)*pi.  `rows` are G's pair rows when the caller has
+    built them already.
 
     The fidelity is that at the exact T_l.  Phases are exact integer
     fractions of a turn, so its error does not grow with l: about 1e-15
@@ -626,7 +593,7 @@ def pgst_scan(
     if l_bound < l_start:
         raise ValueError(f"l_bound {l_bound} below start {l_start}")
     return _exact_phase_scan(
-        _phase_terms(gdec, params, u, v),
+        _phase_terms(gdec, params, _pair_rows(gdec, params) if rows is None else rows, u, v),
         Fraction(2),
         Fraction(1, g),
         lambda l: (4.0 * l + 2.0 / g) * math.pi,
@@ -675,11 +642,13 @@ def pgst_time_search(
             f"the top pair gap sqrt({d_top}) = {root_r} is rational; the search "
             "guarantee requires an irrational top gap"
         )
+    rows = _pair_rows(gdec, params)
     if params.n1 >= 3:
-        for _, theta, _, d in _base_pairs(gdec, params)[1:]:
+        # one row per base eigenvalue below the top
+        for _, a, _, d, _, _ in rows[2::2]:
             if isinstance(d, int) and is_perfect_square(d):
                 raise ValueError(
-                    f"pair gap sqrt({d}) at base eigenvalue {theta} is rational; "
+                    f"pair gap sqrt({d}) at base eigenvalue {a - params.s - params.t} is rational; "
                     "the search guarantee requires every pair gap of a base on "
                     f"{params.n1} >= 3 vertices to be irrational"
                 )
@@ -694,7 +663,7 @@ def pgst_time_search(
             )
 
     best_l, time, fid, achieved = pgst_scan(
-        gdec, params, u, v, epsilon, l_bound, base.g
+        gdec, params, u, v, epsilon, l_bound, base.g, rows=rows
     )
     return PGSTSearchResult(
         u=u,
@@ -750,7 +719,7 @@ def pgst_cocktail(
     g = cocktail_party_graph(m)
     gdec = decompose(signless_laplacian(g))
     best_l, time, fid, achieved = _exact_phase_scan(
-        _phase_terms(gdec, params, 0, 1),
+        _phase_terms(gdec, params, _pair_rows(gdec, params), 0, 1),
         Fraction(1),
         Fraction(0),
         lambda l: 2.0 * math.pi * l,

@@ -5,34 +5,56 @@ never needs; the tests hold the library's results against them.
 """
 from __future__ import annotations
 
+import operator
+
 import numpy as np
 
 from qwcorona.corona_spectra import MATCH_TOL, CoronaParams, CoronaSpectrum, pair_radicand, top_radicand
-from qwcorona.graphs import Graph, diameter, distance_k_adjacency, is_connected
+from qwcorona.graphs import Graph, _hop_distances, is_connected
 from qwcorona.spectra import DEFAULT_SUPPORT_TOL, SpectralDecomposition, decompose_graph
 
 
 def as_decomposition(spectrum: CoronaSpectrum):
-    """Merge closed-form entries that share a value into (eigenvalues,
+    """Merge closed-form rows that share a value into (eigenvalues,
     multiplicities, projectors), eigenvalues descending, projectors dense."""
-    items = sorted(
-        range(len(spectrum.entries)),
-        key=lambda k: float(spectrum.entries[k].value),
-        reverse=True,
-    )
+    items = sorted(range(len(spectrum.rows)), key=lambda k: spectrum.floats[k], reverse=True)
     eigenvalues = []
     multiplicities = []
     projectors = []
     for k in items:
-        val = float(spectrum.entries[k].value)
+        val = spectrum.floats[k]
+        mult = spectrum.rows[k][4]
         if eigenvalues and eigenvalues[-1] - val <= MATCH_TOL:
-            multiplicities[-1] += spectrum.entries[k].multiplicity
+            multiplicities[-1] += mult
             projectors[-1] = projectors[-1] + spectrum.projector(k)
         else:
             eigenvalues.append(val)
-            multiplicities.append(spectrum.entries[k].multiplicity)
+            multiplicities.append(mult)
             projectors.append(spectrum.projector(k))
     return tuple(eigenvalues), tuple(multiplicities), tuple(projectors)
+
+
+def distance_matrix(g: Graph) -> np.ndarray:
+    """All-pairs hop distances; -1 when unreachable."""
+    return np.array([_hop_distances(g, s) for s in range(g.n)])
+
+
+def diameter(g: Graph) -> int:
+    dist = distance_matrix(g)
+    if np.any(dist < 0):
+        raise ValueError("diameter needs a connected graph")
+    return int(dist.max())
+
+
+def distance_k_adjacency(g: Graph, k: int) -> np.ndarray:
+    """0/1 matrix with entry (u,v) = 1 iff the hop distance is exactly k."""
+    k = operator.index(k)
+    if k < 0:
+        raise ValueError(f"distance must be nonnegative, got {k}")
+    dist = distance_matrix(g)
+    if np.any(dist < 0):
+        raise ValueError("distance layers need a connected graph")
+    return (dist == k).astype(float)
 
 
 def reconstruct(dec: SpectralDecomposition) -> np.ndarray:

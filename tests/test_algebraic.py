@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -205,6 +206,8 @@ def test_recognize_rejects_pi():
     assert as_exact([math.pi]) == [None]
     # an integer sum alone makes no partner: its candidates 3 and 0 are rational
     assert as_exact([math.pi, 3 - math.pi]) == [None, None]
+    # and leaves an integer beside it recognized
+    assert as_exact([math.pi, 1.0]) == [None, QuadExt.from_int(1)]
 
 
 @pytest.mark.parametrize("tolerance", [math.nan, math.inf])
@@ -259,10 +262,11 @@ def test_recognize_every_closed_form_value_of_the_corona(gspec):
         )
         dense = np.asarray(decompose(corona_full_q(g, h)).eigenvalues)
         recognized = as_exact(dense)
-        for entry in spectrum.entries:
-            if isinstance(entry.value, QuadExt):
-                i = int(np.argmin(np.abs(dense - float(entry.value))))
-                assert recognized[i] == entry.value, (gspec, hspec, entry.value)
+        for k in range(len(spectrum.rows)):
+            value = spectrum.value(k)
+            if isinstance(value, QuadExt):
+                i = int(np.argmin(np.abs(dense - float(value))))
+                assert recognized[i] == value, (gspec, hspec, value)
 
 
 # 2cos(2 pi j/m) for every m whose cosines are rational or quadratic
@@ -327,6 +331,25 @@ def test_common_half_form_mixed_a_rejected():
     # integers 2 and 0 cannot both take the form (4 + b sqrt(2))/2
     sup = [QuadExt(4, 2, 2), QuadExt.from_int(2), QuadExt.from_int(0), QuadExt(4, -2, 2)]
     with pytest.raises(InvalidSupportError):
+        common_half_form(sup)
+
+
+def test_common_half_form_three_surds_and_a_shared_integer():
+    sup = [QuadExt(4, 3, 2), QuadExt(4, 1, 2), QuadExt(4, -1, 2)]
+    assert common_half_form(sup) == (4, 2, [3, 1, -1])
+    # the integer 2 = (4 + 0*sqrt(2))/2 shares the form
+    sup = [QuadExt(4, 2, 2), QuadExt.from_int(2), QuadExt(4, -2, 2)]
+    assert common_half_form(sup) == (4, 2, [2, 0, -2])
+
+
+def test_common_half_form_names_the_value_off_the_form():
+    # P4's support {2+sqrt2, 2, 2-sqrt2, 0}, read from floats as one list:
+    # the integer 0 cannot take the form (4 + b*sqrt(2))/2
+    sup = as_exact([2 + math.sqrt(2), 2.0, 2 - math.sqrt(2), 0.0])
+    assert sup == [QuadExt(4, 2, 2), QuadExt.from_int(2), QuadExt(4, -2, 2), QuadExt.from_int(0)]
+    with pytest.raises(
+        InvalidSupportError, match=re.escape("0 cannot take the shared form (4 + b*sqrt(2))/2")
+    ):
         common_half_form(sup)
 
 

@@ -8,6 +8,7 @@ and has exactly as many clusters as the closed form has distinct values.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -23,6 +24,7 @@ from qwcorona import (
     corona_spectrum,
     decompose,
     generate,
+    is_perfect_square,
     pst_certify,
     signless_laplacian,
 )
@@ -141,9 +143,10 @@ def test_shift_value_merges_exactly_with_top_minus():
     # K3 ~o C4: s = 6, t = 8; the top pair is {14, 4} and the shift block
     # at mu = 2 is 4 as well; theta = 1 is not strongly cospectral at (0, 1)
     spec = _spectrum("K:3", "C:4")
-    kinds = {e.kind for e in spec.entries if e.value == QuadExt.from_int(4)}
+    kinds = {row[0] for k, row in enumerate(spec.rows) if spec.value(k) == QuadExt.from_int(4)}
     assert kinds == {"shift", "top-minus"}
-    flag, values, signs = spec.base_signs(0, 1)
+    flag, ks, signs = spec.base_signs(0, 1)
+    values = tuple(spec.value(k) for k in ks)
     assert not flag
     assert values == tuple(QuadExt.from_int(k) for k in (14, 10, 5, 4, 2))
     assert signs == (1, 0, 0, 1, 0)
@@ -156,9 +159,10 @@ def test_shift_value_merges_exactly_with_pair_minus():
     # K2 ~o K3: the theta = 0 pair is {6, 2} and the shift value is 2; the
     # merged value carries the pair's sign -1
     spec = _spectrum("K:2", "K:3")
-    kinds = {e.kind for e in spec.entries if e.value == QuadExt.from_int(2)}
+    kinds = {row[0] for k, row in enumerate(spec.rows) if spec.value(k) == QuadExt.from_int(2)}
     assert kinds == {"shift", "pair-minus"}
-    flag, values, signs = spec.base_signs(0, 1)
+    flag, ks, signs = spec.base_signs(0, 1)
+    values = tuple(spec.value(k) for k in ks)
     assert flag
     assert values.count(QuadExt.from_int(2)) == 1
     assert signs[values.index(QuadExt.from_int(2))] == -1
@@ -169,8 +173,9 @@ def test_shift_value_merges_exactly_with_pair_minus():
 def test_k2_pendant_certifier_direct():
     # K2 ~o K1 has no shift block; its support mixes sqrt(2) with integers
     spec = _spectrum("K:2", "K:1")
-    assert all(e.kind != "shift" for e in spec.entries)
-    flag, values, signs = spec.base_signs(0, 1)
+    assert all(row[0] != "shift" for row in spec.rows)
+    flag, ks, signs = spec.base_signs(0, 1)
+    values = tuple(spec.value(k) for k in ks)
     assert flag
     assert values == (QuadExt(4, 2, 2), QuadExt.from_int(2), QuadExt(4, -2, 2), QuadExt.from_int(0))
     assert signs == (1, -1, 1, -1)
@@ -179,28 +184,35 @@ def test_k2_pendant_certifier_direct():
     assert rep.basis == "support-form"
 
 
-def _with_top_minus(spec, value):
-    """The spectrum with its top-minus value moved, to force a coincidence."""
-    entries = tuple(
-        replace(e, value=value) if e.kind == "top-minus" else e for e in spec.entries
+def _with_top_minus(spec, a, d):
+    """The spectrum with its top-minus row moved to (a - sqrt(d))/2, to
+    force a coincidence."""
+    rows = tuple(
+        (kind, a, sign, d, mult, idx) if kind == "top-minus" else (kind, a0, sign, d0, mult, idx)
+        for kind, a0, sign, d0, mult, idx in spec.rows
     )
-    return replace(spec, entries=entries)
+    return replace(spec, rows=rows)
 
 
 def test_opposite_signs_on_one_value_break_strong_cospectrality():
     # K2 ~o K3: theta = 0 has sign -1 at (0, 1), the top +1; a top-minus
-    # value moved onto the pair-minus value 2 carries both signs
-    spec = _with_top_minus(_spectrum("K:2", "K:3"), QuadExt.from_int(2))
-    flag, values, signs = spec.base_signs(0, 1)
+    # value moved onto the pair-minus value 2 = (6 - sqrt(4))/2 carries both signs
+    spec = _with_top_minus(_spectrum("K:2", "K:3"), 6, 4)
+    flag, ks, signs = spec.base_signs(0, 1)
+    values = tuple(spec.value(k) for k in ks)
     assert not flag
+    assert values.count(QuadExt.from_int(2)) == 1
     assert signs[values.index(QuadExt.from_int(2))] == 0
     assert corona_pst_certify(spec, 0, 1).basis == "not-strongly-cospectral"
 
 
 def test_float_value_over_integral_base_support_is_an_invariant_error():
     # K2 ~o K3 has an integral base support, so every supported corona
-    # value is exact; a float one cannot come from the closed form
-    spec = _with_top_minus(_spectrum("K:2", "K:3"), 6.0 + 1e-10)
+    # value is exact; a float row cannot come from the closed form.  The
+    # forged top-minus row takes a float a, and its source theta = 2*r1 is
+    # an integer
+    spec = _with_top_minus(_spectrum("K:2", "K:3"), 14.0 + 2e-10, 4.0)
+    assert spec.value(len(spec.rows) - 1) == 6.0 + 1e-10
     with pytest.raises(InternalInvariantError, match="float corona value"):
         corona_pst_certify(spec, 0, 1)
 
@@ -277,21 +289,87 @@ def test_corona_route_recognizes_no_float(monkeypatch):
 
 
 def test_a_decision_costs_two_factor_eigensolves(monkeypatch):
-    # counted, not timed: one decompose per factor, and each endpoint's
-    # projector columns reduced once (one array per endpoint), though the
-    # refutations, strong cospectrality and the nonperiodic fallback all
-    # read them
+    # counted, not timed: one decompose per factor, each endpoint's
+    # projector columns reduced once (one array per endpoint), and one
+    # vanishing mask taken of each endpoint's columns, though the
+    # refutations and strong cospectrality both read them
     import qwcorona.spectra as sp
     import qwcorona.state_transfer as st
 
-    decompose_, columns = sp.decompose, sp.SpectralDecomposition.columns
+    decompose_, columns, vanishes = sp.decompose, sp.SpectralDecomposition.columns, sp._vanishes
     for hspec, u, v, basis in (("K:20", 0, 7, "not-strongly-cospectral"), ("C:20", 0, 20, "nonperiodic-endpoint")):
-        sizes, read = [], []
+        sizes, read, masked = [], [], []
         monkeypatch.setattr(st, "decompose", lambda q: sizes.append(q.shape[0]) or decompose_(q))
         monkeypatch.setattr(
             sp.SpectralDecomposition, "columns", lambda self, w: read.append((w, columns(self, w))) or read[-1][1]
         )
+        monkeypatch.setattr(sp, "_vanishes", lambda cols: masked.append(cols) or vanishes(cols))
         assert corona_base_pst_check(generate("C:40"), generate(hspec), u, v).basis == basis
         assert sizes == [40, 20]
         assert len(read) >= 4 and {w for w, _ in read} == {u, v}
-        assert len({id(cols) for _, cols in read}) == 2
+        arrays = {id(cols): (w, cols) for w, cols in read}
+        assert len(arrays) == 2
+        # the other masks are of the sum and difference of the two endpoints
+        assert sorted(w for w, cols in arrays.values() for m in masked if m is cols) == sorted([u, v])
+
+
+def _counting_factorizations(monkeypatch):
+    """Record every QuadExt built and every square_free_part argument."""
+    import qwcorona.algebraic as alg
+    import qwcorona.corona_spectra as cs
+
+    built, splits = [], []
+    post_init, split = QuadExt.__post_init__, alg.square_free_part
+    monkeypatch.setattr(QuadExt, "__post_init__", lambda self: built.append(self) or post_init(self))
+    for module in (alg, cs):
+        monkeypatch.setattr(module, "square_free_part", lambda n: splits.append(n) or split(n))
+    return built, splits
+
+
+def _non_square_radicands(spec):
+    exact = [d for _, _, sign, d, _, _ in spec.rows if sign and isinstance(d, int)]
+    return sorted({d for d in exact if not is_perfect_square(d)})
+
+
+@pytest.mark.parametrize("gspec, hspec", [("C:40", "K:20"), ("C:60", "C:25")])
+def test_a_pair_refuted_by_its_signs_builds_no_quadext(monkeypatch, gspec, hspec):
+    # the witness of a pair that is not strongly cospectral is a list of
+    # floats: no QuadExt is built, and each distinct non-square integral
+    # radicand is split once, for the float of its canonical form
+    radicands = _non_square_radicands(_spectrum(gspec, hspec))
+    built, splits = _counting_factorizations(monkeypatch)
+    rep = corona_base_pst_check(generate(gspec), generate(hspec), 0, 7)
+    assert rep.basis == "not-strongly-cospectral"
+    assert built == []
+    assert sorted(splits) == radicands
+
+
+def test_a_certified_support_builds_one_quadext_per_supported_value(monkeypatch):
+    # C6 ~o C79 (0, 3) is strongly cospectral with an exact support: the
+    # certifier builds a QuadExt of each supported value, and factors
+    # nothing beyond those and one split per distinct non-square radicand
+    spec = _spectrum("C:6", "C:79")
+    radicands = _non_square_radicands(spec)
+    built, splits = _counting_factorizations(monkeypatch)
+    rep = corona_pst_certify(spec, 0, 3)
+    assert (rep.verdict, rep.basis) == (NO_PST, "support-form")
+    assert len(built) == len(rep.support)
+    assert sorted({d for d in splits if d in radicands}) == radicands
+    assert len(splits) <= len(radicands) + len(built)
+
+
+def test_witness_floats_are_read_from_the_canonical_form():
+    # C16 ~o C5 (0, 1) is not strongly cospectral.  Each witness float is
+    # float(QuadExt) of its exact value: theta = 2 gives the pair-minus
+    # value (96 - 6*sqrt(94))/2, whose float is 18.913920855502024;
+    # (96 - sqrt(3384))/2 would round to 18.913920855502028
+    spec = _spectrum("C:16", "C:5")
+    rep = corona_base_pst_check(generate("C:16"), generate("C:5"), 0, 1)
+    assert rep.basis == "not-strongly-cospectral"
+    flag, ks, signs = spec.base_signs(0, 1)
+    assert not flag
+    unsupported = [spec.value(k) for k, sg in zip(ks, signs) if sg == 0]
+    assert QuadExt(96, -6, 94) in unsupported
+    assert [x.hex() for x in rep.refutation_witness] == [float(x).hex() for x in unsupported]
+    assert float(QuadExt(96, -6, 94)).hex() == (18.913920855502024).hex()
+    assert (18.913920855502024).hex() != ((96 - math.sqrt(3384)) / 2).hex()

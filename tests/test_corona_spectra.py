@@ -98,7 +98,7 @@ def test_spectrum_matches_oracle_all_pairs():
         spec = corona_spectrum(gdec, hdec, params)
         closed = np.sort(
             np.concatenate(
-                [np.full(e.multiplicity, float(e.value)) for e in spec.entries]
+                [np.full(row[4], x) for row, x in zip(spec.rows, spec.floats)]
             )
         )
         oracle = np.sort(np.linalg.eigvalsh(corona_full_q(g, h)))
@@ -110,7 +110,7 @@ def test_spectrum_total_multiplicity():
     for gspec, hspec in PAIRS:
         _, _, params, gdec, hdec = build(gspec, hspec)
         spec = corona_spectrum(gdec, hdec, params)
-        assert sum(e.multiplicity for e in spec.entries) == params.n1 * (1 + params.n2)
+        assert sum(row[4] for row in spec.rows) == params.n1 * (1 + params.n2)
 
 
 def test_shift_family_values():
@@ -118,36 +118,41 @@ def test_shift_family_values():
     # mu = 2 r2 losing n1 copies to the pair construction
     g, h, params, gdec, hdec = build("C:4", "K:2")
     spec = corona_spectrum(gdec, hdec, params)
-    shifts = [e for e in spec.entries if e.kind == SHIFT]
-    for e in shifts:
-        assert float(e.value) == pytest.approx(params.n1 - 1 + e.origin, abs=1e-9)
+    shifts = [k for k, row in enumerate(spec.rows) if row[0] == SHIFT]
+    for k in shifts:
+        origin = hdec.eigenvalues[spec.rows[k][5]]
+        assert spec.floats[k] == pytest.approx(params.n1 - 1 + origin, abs=1e-9)
+        assert spec.rows[k][2:4] == (0, 0)
     # K2 has simple eigenvalues 2 and 0: the top shift family vanishes
-    assert sum(e.multiplicity for e in shifts) == params.n1 * (params.n2 - 1) + 0
+    assert sum(spec.rows[k][4] for k in shifts) == params.n1 * (params.n2 - 1) + 0
 
 
 def test_pair_family_values():
     g, h, params, gdec, hdec = build("CP:4", "K:1")
     spec = corona_spectrum(gdec, hdec, params)
-    pairs = [e for e in spec.entries if e.kind in (PAIR_PLUS, PAIR_MINUS)]
-    tops = [e for e in spec.entries if e.kind in (TOP_PLUS, TOP_MINUS)]
+    pairs = [k for k, row in enumerate(spec.rows) if row[0] in (PAIR_PLUS, PAIR_MINUS)]
+    tops = [row for row in spec.rows if row[0] in (TOP_PLUS, TOP_MINUS)]
     assert len(tops) == 2
-    assert all(e.multiplicity == 1 for e in tops)
-    for e in pairs:
-        theta = int(round(e.origin))
-        assert e.radicand == pair_radicand(params, theta)
-        plus = e.kind == PAIR_PLUS
-        root = np.sqrt(e.radicand)
+    assert all(row[4] == 1 for row in tops)
+    for k in pairs:
+        kind, a, sign, radicand, _, idx = spec.rows[k]
+        theta = int(round(gdec.eigenvalues[idx]))
+        assert radicand == pair_radicand(params, theta)
+        assert a == theta + params.s + params.t
+        plus = kind == PAIR_PLUS
+        assert sign == (1 if plus else -1)
+        root = np.sqrt(radicand)
         expected = (theta + params.s + params.t + (root if plus else -root)) / 2.0
-        assert float(e.value) == pytest.approx(expected, abs=1e-9)
-    for e in tops:
-        assert e.radicand == top_radicand(params)
+        assert spec.floats[k] == pytest.approx(expected, abs=1e-9)
+    for row in tops:
+        assert row[3] == top_radicand(params)
 
 
 def test_exact_values_when_integral():
     # integral base and attachment spectra produce exact quadratic entries
     _, _, params, gdec, hdec = build("K:2", "K:1")
     spec = corona_spectrum(gdec, hdec, params)
-    by_kind = {e.kind: e.value for e in spec.entries}
+    by_kind = {row[0]: spec.value(k) for k, row in enumerate(spec.rows)}
     assert by_kind[PAIR_PLUS] == QuadExt.from_int(2)
     assert by_kind[PAIR_MINUS] == QuadExt.from_int(0)
     assert by_kind[TOP_PLUS] == QuadExt(4, 2, 2)
@@ -157,7 +162,7 @@ def test_exact_values_when_integral():
 def test_float_path_for_irrational_base():
     _, _, params, gdec, hdec = build("C:5", "C:5")
     spec = corona_spectrum(gdec, hdec, params)
-    assert any(isinstance(e.value, float) for e in spec.entries)
+    assert any(isinstance(spec.value(k), float) for k in range(len(spec.rows)))
 
 
 # =========================================================================
@@ -181,13 +186,13 @@ def test_projector_invariants():
         n = params.n1 * (1 + params.n2)
         total = np.zeros((n, n))
         recon = np.zeros((n, n))
-        for k, e in enumerate(spec.entries):
+        for k, row in enumerate(spec.rows):
             f = spec.projector(k)
             assert np.allclose(f, f.T, atol=1e-8)
             assert np.allclose(f @ f, f, atol=1e-8)
-            assert np.trace(f) == pytest.approx(e.multiplicity, abs=1e-8)
+            assert np.trace(f) == pytest.approx(row[4], abs=1e-8)
             total += f
-            recon += float(e.value) * f
+            recon += spec.floats[k] * f
         assert np.allclose(total, np.eye(n), atol=1e-8)
         assert np.allclose(recon, corona_full_q(g, h), atol=1e-8)
 

@@ -11,9 +11,6 @@ from qwcorona.graphs import (
     cocktail_party_graph,
     complete_graph,
     cycle_graph,
-    diameter,
-    distance_k_adjacency,
-    distance_matrix,
     empty_graph,
     generate,
     graph_from_edges,
@@ -26,6 +23,8 @@ from qwcorona.graphs import (
     signless_laplacian,
     vertex_complemented_corona,
 )
+
+from oracle import diameter, distance_k_adjacency, distance_matrix
 
 
 # =========================================================================

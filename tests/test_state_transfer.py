@@ -24,7 +24,6 @@ from qwcorona.state_transfer import (
     UNDECIDED,
     corona_base_periodicity,
     corona_base_pst_check,
-    is_periodic_vertex,
     k2_corona_no_pst,
     periodicity_size_bound,
     pgst_cocktail,
@@ -37,58 +36,6 @@ from qwcorona.state_transfer import (
 
 def dec_of(spec: str):
     return decompose(signless_laplacian(generate(spec)))
-
-
-# =========================================================================
-# periodicity from the support alone
-# =========================================================================
-
-
-def test_periodic_integer_support():
-    rep = is_periodic_vertex([2, 0])
-    assert rep.periodic and rep.case == "integer-case"
-    rep = is_periodic_vertex([12, 6, 4])
-    assert rep.periodic and rep.delta == 1
-
-
-def test_periodic_quadratic_support():
-    sup = [QuadExt(4, 3, 2), QuadExt(4, 1, 2), QuadExt(4, -1, 2)]
-    rep = is_periodic_vertex(sup)
-    assert rep.periodic and rep.case == "quadratic-case"
-    assert rep.delta == 2
-
-
-def test_periodic_quadratic_support_with_matching_integer():
-    # the integer 2 = (4 + 0*sqrt(2))/2 shares the form
-    sup = [QuadExt(4, 2, 2), QuadExt.from_int(2), QuadExt(4, -2, 2)]
-    rep = is_periodic_vertex(sup)
-    assert rep.periodic
-
-
-def test_p4_support_not_periodic():
-    # {2+sqrt2, 2, 2-sqrt2, 0}: integers 2 and 0 cannot share a = 4
-    sup = [QuadExt(4, 2, 2), QuadExt.from_int(2), QuadExt.from_int(0), QuadExt(4, -2, 2)]
-    rep = is_periodic_vertex(sup)
-    assert not rep.periodic
-    assert rep.case == "refuted"
-    assert rep.basis == "mixed-support-form"
-
-
-def test_periodicity_from_float_support():
-    sup = [2 + math.sqrt(2), 2.0, 2 - math.sqrt(2), 0.0]
-    rep = is_periodic_vertex(sup)
-    assert not rep.periodic
-
-
-def test_periodicity_unrecognized_is_undecided():
-    rep = is_periodic_vertex([math.pi, 1.0])
-    assert rep.case == UNDECIDED
-    assert not rep.periodic
-
-
-def test_periodicity_empty_support_rejected():
-    with pytest.raises(ValueError):
-        is_periodic_vertex([])
 
 
 # =========================================================================
