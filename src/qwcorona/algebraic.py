@@ -91,9 +91,9 @@ class QuadExt:
         delta = operator.index(self.delta)
         if delta <= 0:
             raise ValueError(f"delta must be positive, got {delta}")
-        s, c = square_free_part(delta)
-        if s != 1:
-            b, delta = b * s, c
+        if delta > 1:
+            s, delta = square_free_part(delta)
+            b *= s
         if delta == 1 and b != 0:
             a, b = a + b, 0
         if b == 0:

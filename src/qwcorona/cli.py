@@ -36,7 +36,6 @@ from .state_transfer import (
     DEFAULT_L_BOUND,
     PST,
     UNDECIDED,
-    PGSTSearchResult,
     corona_base_pst_check,
     pgst_cocktail,
     pgst_scan,
@@ -373,20 +372,7 @@ def cmd_search_pgst(args, cfg: RunConfig) -> tuple:
             note = str(err)
             base = pst_certify(gdec, u, v)
             g_par = base.g if base.verdict == PST and base.g else 1
-            best_l, time, fid, achieved = pgst_scan(
-                gdec, params, u, v, cfg.epsilon, cfg.l_bound, g_par
-            )
-            result = PGSTSearchResult(
-                u=u,
-                v=v,
-                target_epsilon=cfg.epsilon,
-                l_bound=cfg.l_bound,
-                achieved=achieved,
-                basis="heuristic-search",
-                best_l=best_l,
-                time=time,
-                fidelity=fid,
-            )
+            result = pgst_scan(gdec, params, u, v, cfg.epsilon, cfg.l_bound, g_par)
             mode = "heuristic"
     out = {"spec": spec.text, "mode": mode}
     out.update(vars(result))
@@ -468,7 +454,6 @@ def _add_config_flags(p: argparse.ArgumentParser) -> None:
     for field in fields(RunConfig):
         kind = {"choices": FORMATS} if field.name == "format" else {"type": type(field.default)}
         p.add_argument("--" + field.name.replace("_", "-"), default=None, **kind)
-    p.add_argument("--file", default=None, help="read the graph from an edge list file")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -509,6 +494,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid", default=None, help="start:stop:steps")
     _add_config_flags(p)
 
+    # corona-spectrum takes two specs, so it has no --file
+    for name in ("spectrum", "check-pst", "search-pgst", "fidelity"):
+        sub.choices[name].add_argument(
+            "--file", default=None, help="read the graph from an edge list file"
+        )
     return parser
 
 

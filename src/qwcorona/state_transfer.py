@@ -10,8 +10,9 @@ Three layers, ordered by strength:
                  the factor spectra, and the dense corona matrix serves
                  only as a test and CLI oracle
   search         bounded integer scans for times with near-perfect
-                 fidelity, guaranteed to succeed when the relevant pair
-                 gap is an irrational surd
+                 fidelity; when the relevant pair gaps are irrational
+                 surds the paper's conditions guarantee that such times
+                 exist, not that a bounded scan reaches them
 
 Every verdict carries a `basis` token naming the rule that produced it and
 enough witness data to re-check the claim independently.
@@ -19,8 +20,7 @@ enough witness data to re-check the claim independently.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from fractions import Fraction
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -488,38 +488,30 @@ def _certify_support(u, v, supported) -> PSTReport:
 # bounded time search
 
 
-@dataclass(frozen=True)
-class _PhaseTerm:
-    """One term weight * exp(-i*tau*mu) of a base amplitude, with
-    mu = (p + sign*sqrt(d))/q held exactly.
-
-    An integral base eigenvalue gives the exact pair member (d its pair
-    radicand, q = 2); any other gives the binary fraction of its float
-    value (d = 0, sign = 0).  Both go through the same integer arithmetic.
-    """
-
-    weight: float
-    p: int
-    q: int
-    d: int = 0
-    sign: int = 0
-
-    def turns(self, r: Fraction) -> int:
-        """frac(r*mu) in units of 2^-64, within two units, for rational r >= 0."""
-        n, m = r.numerator, r.denominator
-        root = math.isqrt(n * n * self.d << 2 * _TURN_BITS)
-        return (((n * self.p) << _TURN_BITS) + self.sign * root) // (m * self.q) % _TURN
-
-
 def _phase_terms(gdec, params, rows, u, v) -> list:
-    """The terms of `_amplitude_terms` on G's pair rows as exact phase terms."""
+    """The terms of `_amplitude_terms` on G's pair rows as exact phase terms.
+
+    A term (weight, p, q, d, sign) is weight * exp(-i*tau*mu) with
+    mu = (p + sign*sqrt(d))/q held exactly.  An integral base eigenvalue
+    gives the exact pair member (d its pair radicand, q = 2); any other
+    gives the binary fraction of its float value (d = 0, sign = 0).  Both
+    go through the same integer arithmetic in `_turns`.
+    """
     terms = []
     for weight, a, d, sign in _amplitude_terms(gdec, params, rows, u, v):
         if isinstance(d, int):
-            terms.append(_PhaseTerm(weight, a, 2, d, sign))
+            terms.append((weight, a, 2, d, sign))
         else:
-            terms.append(_PhaseTerm(weight, *((a + sign * math.sqrt(d)) / 2.0).as_integer_ratio()))
+            terms.append((weight, *((a + sign * math.sqrt(d)) / 2.0).as_integer_ratio(), 0, 0))
     return terms
+
+
+def _turns(term, n: int, m: int) -> int:
+    """frac((n/m)*mu) in units of 2^-64, within two units, for n >= 0 and
+    m >= 1 coprime."""
+    _, p, q, d, sign = term
+    root = math.isqrt(n * n * d << 2 * _TURN_BITS)
+    return (((n * p) << _TURN_BITS) + sign * root) // (m * q) % _TURN
 
 
 def _unit_phases(turns) -> np.ndarray:
@@ -528,37 +520,52 @@ def _unit_phases(turns) -> np.ndarray:
     return np.exp(-1j * (signed * (2 * math.pi / _TURN)))
 
 
-def _exact_phase_scan(terms, step, offset, time_of, epsilon, l_start, l_bound):
-    """The PGST scan over tau_l = 2*pi*(step*l + offset), l in [l_start, l_bound].
+def _check_search_args(epsilon, l_start, l_bound, g=1) -> None:
+    if not 0 < epsilon <= 1:
+        raise ValueError(f"epsilon must lie in (0, 1], got {epsilon}")
+    if l_start < 0:
+        raise ValueError(f"l_start must be non-negative, got {l_start}")
+    if l_bound < l_start:
+        raise ValueError(f"l_bound {l_bound} below start {l_start}")
+    if g < 1:
+        raise ValueError(f"g must be a positive integer, got {g}")
+
+
+def _exact_phase_scan(terms, grid, u, v, epsilon, l_start, l_bound, basis) -> PGSTSearchResult:
+    """The PGST scan over T_l = 2*pi*(step*l + b/c), l in [l_start, l_bound],
+    for the grid (step, b, c) with b/c reduced.
 
     The table W[j, k] = exp(-2*pi*i*frac(k*step*mu_j)), k < SCAN_CHUNK, is
     built once from 64-bit turns wrapping mod 2^64, so entry k is off by
     at most 2k units of 2^-64 turns.  Each chunk from lo on then takes one
-    exact integer phase frac((step*lo + offset)*mu_j) per term and one
-    vector-matrix product, and no error carries over from chunk to chunk.
-    Stops at the first l whose fidelity reaches 1 - epsilon; otherwise
-    reports the global maximum with ties resolved to the smaller l.
-    Returns (best_l, time_of(best_l), fidelity, achieved).
+    exact integer phase frac((step*lo*c + b)/c * mu_j) per term, whose
+    fraction is reduced since gcd(step*lo*c + b, c) = gcd(b, c) = 1, and
+    one vector-matrix product, and no error carries over from chunk to
+    chunk.  Stops at the first l whose fidelity reaches 1 - epsilon;
+    otherwise reports the global maximum with ties resolved to the smaller
+    l.  The reported time is the float (2*step*l + 2*b/c)*pi.
     """
-    weights = np.array([term.weight for term in terms])
+    step, b, c = grid
+    weights = np.array([term[0] for term in terms])
     ks = np.arange(min(SCAN_CHUNK, l_bound - l_start + 1), dtype=np.uint64)
-    per_step = np.array([term.turns(step) for term in terms], dtype=np.uint64)
+    per_step = np.array([_turns(term, step, 1) for term in terms], dtype=np.uint64)
     table = _unit_phases(per_step[:, None] * ks)
     threshold = 1.0 - epsilon
-    best_l, best_fid = l_start, -1.0
+    best_l, best_fid, achieved = l_start, -1.0, False
     for lo in range(l_start, l_bound + 1, SCAN_CHUNK):
-        start = step * lo + offset
-        coeffs = weights * _unit_phases([term.turns(start) for term in terms])
+        coeffs = weights * _unit_phases([_turns(term, step * lo * c + b, c) for term in terms])
         amps = coeffs @ table[:, : l_bound + 1 - lo]
         fids = amps.real**2
         fids += amps.imag**2
         k = int(np.argmax(fids))
         if fids[k] >= threshold:
             k = int(np.argmax(fids >= threshold))
-            return lo + k, time_of(lo + k), float(fids[k]), True
+            best_l, best_fid, achieved = lo + k, float(fids[k]), True
+            break
         if fids[k] > best_fid:
             best_l, best_fid = lo + k, float(fids[k])
-    return best_l, time_of(best_l), best_fid, False
+    time = (2.0 * step * best_l + 2.0 * b / c) * math.pi
+    return PGSTSearchResult(u, v, epsilon, l_bound, achieved, basis, best_l, time, best_fid)
 
 
 def pgst_scan(
@@ -571,14 +578,16 @@ def pgst_scan(
     g: int,
     l_start: int = 0,
     rows=None,
-):
+) -> PGSTSearchResult:
     """Scan T_l = (4l + 2/g)*pi for l in [l_start, l_bound] on base fidelity.
 
     Stops at the first l whose fidelity reaches 1 - epsilon; otherwise
     reports the global maximum with ties resolved to the smaller l.
-    Returns (best_l, time, fidelity, achieved), time being the float
-    (4.0*l + 2.0/g)*pi.  `rows` are G's pair rows when the caller has
-    built them already.
+    Returns a PGSTSearchResult with basis heuristic-search: `achieved`
+    false means only that no scanned l reached 1 - epsilon.  Its time is
+    the float (4.0*l + 2.0/g)*pi.  `rows` are G's pair rows when the
+    caller has built them already.  An epsilon outside (0, 1], a start
+    below 0 or above `l_bound`, or g < 1 raises ValueError.
 
     The fidelity is that at the exact T_l.  Phases are exact integer
     fractions of a turn, so its error does not grow with l: about 1e-15
@@ -586,21 +595,9 @@ def pgst_scan(
     non-integral eigenvalue enters as its float value, whose rounding
     (about 1e-15 relative) then shifts the phase by that much times T_l.
     """
-    if not 0 < epsilon <= 1:
-        raise ValueError(f"epsilon must lie in (0, 1], got {epsilon}")
-    if l_start < 0:
-        raise ValueError(f"l_start must be non-negative, got {l_start}")
-    if l_bound < l_start:
-        raise ValueError(f"l_bound {l_bound} below start {l_start}")
-    return _exact_phase_scan(
-        _phase_terms(gdec, params, _pair_rows(gdec, params) if rows is None else rows, u, v),
-        Fraction(2),
-        Fraction(1, g),
-        lambda l: (4.0 * l + 2.0 / g) * math.pi,
-        epsilon,
-        l_start,
-        l_bound,
-    )
+    _check_search_args(epsilon, l_start, l_bound, g)
+    terms = _phase_terms(gdec, params, _pair_rows(gdec, params) if rows is None else rows, u, v)
+    return _exact_phase_scan(terms, (2, 1, g), u, v, epsilon, l_start, l_bound, "heuristic-search")
 
 
 def pgst_time_search(
@@ -611,15 +608,20 @@ def pgst_time_search(
     epsilon: float = DEFAULT_EPSILON,
     l_bound: int = DEFAULT_L_BOUND,
 ) -> PGSTSearchResult:
-    """Near-perfect transfer time between corona base vertices, guaranteed.
+    """Near-perfect transfer search between corona base vertices on the
+    paper's sufficient conditions for PGST.
 
     Preconditions: the attachment is edgeless; the base pair has certified
     perfect transfer at pi/g with delta = 1; the top pair gap is an
-    irrational surd.  The scan then runs over T_l = (4l + 2/g)*pi.  For
-    bases on three or more vertices every pair gap below the top must also
-    be irrational; on the two-vertex base K2 the rational gap n2 + 1 must
-    be a multiple of g.  An unmet precondition raises ValueError.
+    irrational surd.  For bases on three or more vertices every pair gap
+    below the top must also be irrational; on the two-vertex base K2 the
+    rational gap n2 + 1 must be a multiple of g.  An unmet precondition
+    raises ValueError.  They guarantee that PGST exists along
+    T_l = (4l + 2/g)*pi, not that a scan up to `l_bound` reaches
+    1 - epsilon: the result is `pgst_scan`'s with basis
+    irrational-gap-search, and `achieved` false proves nothing.
     """
+    _check_search_args(epsilon, 0, l_bound)
     if params.r2 != 0:
         raise ValueError(
             "the guaranteed search needs an edgeless attachment graph, "
@@ -662,20 +664,8 @@ def pgst_time_search(
                 "the search guarantee on a two-vertex base requires it"
             )
 
-    best_l, time, fid, achieved = pgst_scan(
-        gdec, params, u, v, epsilon, l_bound, base.g, rows=rows
-    )
-    return PGSTSearchResult(
-        u=u,
-        v=v,
-        target_epsilon=epsilon,
-        l_bound=l_bound,
-        achieved=achieved,
-        basis="irrational-gap-search",
-        best_l=best_l,
-        time=time,
-        fidelity=fid,
-    )
+    scan = pgst_scan(gdec, params, u, v, epsilon, l_bound, base.g, rows=rows)
+    return replace(scan, basis="irrational-gap-search")
 
 
 def pgst_cocktail(
@@ -690,14 +680,12 @@ def pgst_cocktail(
     branch two when R is irrational with square-free part different from
     that of the pair radicand 4*((m-1)^2 + 1) at theta = 2m-2.  Both
     branches scan T = 2*pi*l for l in [1, l_bound] and score candidates
-    purely by fidelity.
+    purely by fidelity; otherwise the basis is hypotheses-not-met and
+    nothing is scanned.
     """
     if m <= 2 or m % 2 == 0:
         raise ValueError(f"the cocktail party search needs an odd m greater than 2, got {m}")
-    if not 0 < epsilon <= 1:
-        raise ValueError(f"epsilon must lie in (0, 1], got {epsilon}")
-    if l_bound < 1:
-        raise ValueError(f"l_bound must be at least 1, got {l_bound}")
+    _check_search_args(epsilon, 1, l_bound)
 
     params = CoronaParams(n1=2 * m, n2=1, r1=2 * m - 2, r2=0)
     r = top_radicand(params)
@@ -707,37 +695,11 @@ def pgst_cocktail(
     elif square_free_part(r)[1] != square_free_part(c1)[1]:
         basis = "distinct-surd-parts"
     else:
-        return PGSTSearchResult(
-            u=0,
-            v=1,
-            target_epsilon=epsilon,
-            l_bound=l_bound,
-            achieved=False,
-            basis="hypotheses-not-met",
-        )
+        return PGSTSearchResult(0, 1, epsilon, l_bound, False, "hypotheses-not-met")
 
-    g = cocktail_party_graph(m)
-    gdec = decompose(signless_laplacian(g))
-    best_l, time, fid, achieved = _exact_phase_scan(
-        _phase_terms(gdec, params, _pair_rows(gdec, params), 0, 1),
-        Fraction(1),
-        Fraction(0),
-        lambda l: 2.0 * math.pi * l,
-        epsilon,
-        1,
-        l_bound,
-    )
-    return PGSTSearchResult(
-        u=0,
-        v=1,
-        target_epsilon=epsilon,
-        l_bound=l_bound,
-        achieved=achieved,
-        basis=basis,
-        best_l=best_l,
-        time=time,
-        fidelity=fid,
-    )
+    gdec = decompose(signless_laplacian(cocktail_party_graph(m)))
+    terms = _phase_terms(gdec, params, _pair_rows(gdec, params), 0, 1)
+    return _exact_phase_scan(terms, (1, 0, 1), 0, 1, epsilon, 1, l_bound, basis)
 
 
 # ---------------------------------------------------------------------------

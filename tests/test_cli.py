@@ -545,6 +545,34 @@ def test_python_dash_m_runs_the_cli():
     assert '"strongly_cospectral": true' in proc.stdout
 
 
+def test_cli_import_loads_neither_fractions_nor_decimal():
+    # the scan's phases are integer fractions of a turn without `Fraction`,
+    # so start-up pays for neither module
+    src = Path(qwcorona.__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(src) + os.pathsep + env.get("PYTHONPATH", "")
+    code = "import sys, qwcorona.cli; print([m for m in ('fractions', 'decimal') if m in sys.modules])"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
+def test_file_is_a_flag_of_the_one_spec_subcommands_only(tmp_path, capsys):
+    p = tmp_path / "tri.txt"
+    p.write_text("3\n0 1\n1 2\n0 2\n")
+    want = run_json(capsys, ["spectrum", "K:3"])["eigenvalues"]
+    assert run_json(capsys, ["spectrum", "ignored", "--file", str(p)])["eigenvalues"] == want
+    code, out, err = run(capsys, ["search-pgst", "ignored", "0", "1", "--file", str(p)])
+    assert (code, out) == (2, "")
+    assert err == "error: search-pgst needs a corona spec\n"
+    # corona-spectrum reads two specs and no file: the flag is refused, not ignored
+    code, out, err = run(capsys, ["corona-spectrum", "K:2", "K:1", "--file", str(p)])
+    assert (code, out) == (2, "")
+    assert "unrecognized arguments: --file" in err
+
+
 def test_cluster_tolerance_is_not_configurable(monkeypatch, capsys):
     # the clustering threshold is the library's DEFAULT_CLUSTER_TOL; a
     # stray QWC_CLUSTER_TOL is ignored and --cluster-tol is not a flag

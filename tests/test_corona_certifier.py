@@ -28,6 +28,7 @@ from qwcorona import (
     pst_certify,
     signless_laplacian,
 )
+from qwcorona.algebraic import square_free_part
 from qwcorona.state_transfer import NO_PST, UNDECIDED
 
 MAX_N = 480
@@ -356,6 +357,19 @@ def test_a_certified_support_builds_one_quadext_per_supported_value(monkeypatch)
     assert len(built) == len(rep.support)
     assert sorted({d for d in splits if d in radicands}) == radicands
     assert len(splits) <= len(radicands) + len(built)
+
+
+def test_a_size_bound_refutation_factors_nothing(monkeypatch):
+    # C4 ~o K1 (0, 2) is refuted by the size bound; its support is integral,
+    # so the QuadExt of each member has delta 1, which needs no factoring
+    import qwcorona.state_transfer as st
+
+    built, splits = _counting_factorizations(monkeypatch)
+    monkeypatch.setattr(st, "square_free_part", lambda n: splits.append(n) or square_free_part(n))
+    rep = corona_base_pst_check(generate("C:4"), generate("K:1"), 0, 2)
+    assert rep.basis == "size-bound"
+    assert len(built) == len(rep.support) == 3
+    assert splits == []
 
 
 def test_witness_floats_are_read_from_the_canonical_form():

@@ -3,14 +3,21 @@ from __future__ import annotations
 
 import math
 import random
+from dataclasses import replace
 
 import mpmath
 import numpy as np
 import pytest
 from scipy.optimize import minimize_scalar
 
+import qwcorona.state_transfer as st
 from qwcorona import cli
-from qwcorona.corona_spectra import CoronaParams, corona_full_q, corona_transition_element
+from qwcorona.corona_spectra import (
+    CoronaParams,
+    _pair_rows,
+    corona_full_q,
+    corona_transition_element,
+)
 from qwcorona.graphs import generate, signless_laplacian
 from qwcorona.spectra import (
     _bounded_golden,
@@ -21,6 +28,9 @@ from qwcorona.spectra import (
 )
 from qwcorona.state_transfer import (
     PST,
+    PGSTSearchResult,
+    _exact_phase_scan,
+    _phase_terms,
     pgst_cocktail,
     pgst_scan,
     pgst_time_search,
@@ -35,8 +45,8 @@ def corona_of(base: str, att: str):
 
 def fidelity_at(gdec, params, u, v, l, g):
     """Scan fidelity at the single grid time T_l, with the float time."""
-    _, time, fid, _ = pgst_scan(gdec, params, u, v, 1e-300, l, g, l_start=l)
-    return time, fid
+    res = pgst_scan(gdec, params, u, v, 1e-300, l, g, l_start=l)
+    return res.time, res.fidelity
 
 
 # =========================================================================
@@ -124,24 +134,74 @@ def test_scan_keeps_the_first_hit_and_the_smaller_l_on_ties():
         [abs(corona_transition_element(gdec, params, 0, 1, (4.0 * l + 2.0) * math.pi)) ** 2
          for l in range(l_bound + 1)]
     )
-    best_l, time, fid, achieved = pgst_scan(gdec, params, 0, 1, 1e-9, l_bound, 1)
-    assert not achieved
-    assert best_l == int(np.argmax(oracle))
-    assert fid == pytest.approx(oracle[best_l], abs=1e-10)
+    res = pgst_scan(gdec, params, 0, 1, 1e-9, l_bound, 1)
+    assert not res.achieved
+    assert res.best_l == int(np.argmax(oracle))
+    assert res.fidelity == pytest.approx(oracle[res.best_l], abs=1e-10)
     # a threshold below the maximum stops at the first l reaching it
     eps = 1.0 - float(np.sort(oracle)[-5])
-    best_l, _, fid, achieved = pgst_scan(gdec, params, 0, 1, eps, l_bound, 1)
-    assert achieved
-    assert best_l == int(np.flatnonzero(oracle >= 1.0 - eps - 1e-12)[0])
+    res = pgst_scan(gdec, params, 0, 1, eps, l_bound, 1)
+    assert res.achieved
+    assert res.best_l == int(np.flatnonzero(oracle >= 1.0 - eps - 1e-12)[0])
     # a start inside the range scans only what follows it
-    best_l, _, _, _ = pgst_scan(gdec, params, 0, 1, 1e-9, l_bound, 1, l_start=5000)
-    assert best_l == 5000 + int(np.argmax(oracle[5000:]))
+    res = pgst_scan(gdec, params, 0, 1, 1e-9, l_bound, 1, l_start=5000)
+    assert res.best_l == 5000 + int(np.argmax(oracle[5000:]))
 
 
 def test_scan_rejects_a_negative_start():
     _, _, gdec, params = corona_of("CP:4", "empty:1")
     with pytest.raises(ValueError, match="non-negative"):
         pgst_scan(gdec, params, 0, 1, 0.01, 10, 2, l_start=-1)
+
+
+@pytest.mark.parametrize("g", [0, -1])
+def test_scan_rejects_a_grid_parameter_below_one(g):
+    # g = -1 would scan T_l = (4l - 2)*pi, and g = 0 divide by zero
+    _, _, gdec, params = corona_of("CP:2", "empty:3")
+    with pytest.raises(ValueError, match=f"g must be a positive integer, got {g}"):
+        pgst_scan(gdec, params, 0, 1, 0.01, 10, g)
+
+
+def test_every_search_returns_a_result_with_its_basis(monkeypatch):
+    _, _, gdec, params = corona_of("CP:4", "empty:1")
+    scan = pgst_scan(gdec, params, 0, 1, 1e-2, 50, 2)
+    assert isinstance(scan, PGSTSearchResult)
+    assert (scan.u, scan.v, scan.target_epsilon, scan.l_bound) == (0, 1, 1e-2, 50)
+    assert scan.basis == "heuristic-search"
+    guaranteed = pgst_time_search(gdec, params, 0, 1, 1e-2, 50)
+    assert guaranteed == replace(scan, basis="irrational-gap-search")
+    for m, basis in ((3, "distinct-surd-parts"), (11, "rational-top-gap")):
+        res = pgst_cocktail(m, 1e-2, 50)
+        assert isinstance(res, PGSTSearchResult)
+        assert (res.u, res.v, res.target_epsilon, res.l_bound, res.basis) == (0, 1, 1e-2, 50, basis)
+    # no odd m below 400 has equal square-free parts; force them equal
+    monkeypatch.setattr(st, "square_free_part", lambda n: (1, 2))
+    res = pgst_cocktail(3, 1e-2, 50)
+    assert res == PGSTSearchResult(0, 1, 1e-2, 50, False, "hypotheses-not-met")
+
+
+def _grid_ls(seed):
+    rng = random.Random(seed)
+    return list(range(70)) + [10**k + d for k in range(2, 13) for d in (-1, 0, 1)] + [
+        rng.randrange(10**12) for _ in range(100)
+    ]
+
+
+@pytest.mark.parametrize("g", range(1, 9))
+def test_scan_times_equal_the_closed_expression(g):
+    _, _, gdec, params = corona_of("CP:4", "empty:1")
+    rows = _pair_rows(gdec, params)
+    for l in _grid_ls(g):
+        res = pgst_scan(gdec, params, 0, 1, 1e-300, l, g, l_start=l, rows=rows)
+        assert res.time.hex() == ((4.0 * l + 2.0 / g) * math.pi).hex(), l
+
+
+def test_cocktail_grid_times_equal_the_closed_expression():
+    _, _, gdec, params = corona_of("CP:3", "K:1")
+    terms = _phase_terms(gdec, params, _pair_rows(gdec, params), 0, 1)
+    for l in _grid_ls(0):
+        res = _exact_phase_scan(terms, (1, 0, 1), 0, 1, 1e-300, l, l, "distinct-surd-parts")
+        assert res.time.hex() == (2.0 * math.pi * l).hex(), l
 
 
 def test_cocktail_grid_matches_transition_element():

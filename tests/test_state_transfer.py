@@ -333,8 +333,8 @@ def test_pgst_time_search_achieves_on_cp4():
 def test_pgst_scan_monotone_in_bound():
     gdec = dec_of("CP:4")
     params = CoronaParams(n1=8, n2=1, r1=6, r2=0)
-    _, _, f_small, _ = pgst_scan(gdec, params, 0, 1, 1e-9, 300, 2)
-    _, _, f_large, _ = pgst_scan(gdec, params, 0, 1, 1e-9, 3000, 2)
+    f_small = pgst_scan(gdec, params, 0, 1, 1e-9, 300, 2).fidelity
+    f_large = pgst_scan(gdec, params, 0, 1, 1e-9, 3000, 2).fidelity
     assert f_large >= f_small - 1e-15
 
 
@@ -345,8 +345,7 @@ def test_pgst_scan_epsilon_validation():
         with pytest.raises(ValueError):
             pgst_scan(gdec, params, 0, 1, eps, 10, 2)
     # epsilon = 1 is legal and trivially achieved
-    _, _, _, achieved = pgst_scan(gdec, params, 0, 1, 1.0, 1, 2)
-    assert achieved
+    assert pgst_scan(gdec, params, 0, 1, 1.0, 1, 2).achieved
 
 
 def test_pgst_cocktail_validation():
