@@ -249,6 +249,8 @@ def _value_json(v):
 
 
 def cmd_spectrum(args, cfg: RunConfig) -> tuple:
+    if args.projectors and cfg.format == "csv":
+        raise ValueError("--projectors has no CSV form; use --format json")
     spec = parse_spec(args.spec, args.file)
     dec = decompose(signless_laplacian(spec.graph))
     if cfg.format == "csv":
@@ -273,6 +275,8 @@ def cmd_spectrum(args, cfg: RunConfig) -> tuple:
 
 
 def cmd_corona_spectrum(args, cfg: RunConfig) -> tuple:
+    if args.materialize_projectors and cfg.format == "csv":
+        raise ValueError("--materialize-projectors has no CSV form; use --format json")
     gspec = parse_spec(args.g_spec)
     hspec = parse_spec(args.h_spec)
     params = CoronaParams.from_graphs(gspec.graph, hspec.graph)

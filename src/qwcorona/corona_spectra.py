@@ -16,12 +16,13 @@ t = n2*(n1 - 1):
 (kind, a, sign, D, multiplicity, source index), one row per value
 (a + sign*sqrt(D))/2; a and D are ints whenever the source eigenvalue is
 integral, so downstream certification needs no float recognition, and a
-QuadExt is built only for a value that is read as one.  `_pair_rows`
-builds the pair rows from G's decomposition alone, and every reader of
-pair data takes them from there: the certifier's merged signs, and
-`_amplitude_terms`, the one source of the amplitude between base
-vertices (u,0) and (v,0) for both `corona_transition_element` and the
-PGST scan.
+QuadExt is built only for a value that is read as one; rows of one
+value merge by `_row_keys`.  `_pair_rows` builds the pair rows from G's
+decomposition and `CoronaParams` alone, and every reader of pair data
+takes them from there: the base-pair certifier, which needs no
+eigenvalue of H, and `_amplitude_terms`, the one source of the amplitude
+between base vertices (u,0) and (v,0) for both
+`corona_transition_element` and the PGST scan.
 """
 from __future__ import annotations
 
@@ -39,7 +40,7 @@ from .graphs import (
     signless_laplacian,
     vertex_complemented_corona,
 )
-from .spectra import SpectralDecomposition, _phase_sum, strong_cospectrality
+from .spectra import SpectralDecomposition, _phase_sum
 
 # a factor's top eigenvalue must lie this close to 2*r
 MATCH_TOL = 1e-8
@@ -146,6 +147,36 @@ def _pair_rows(gdec: SpectralDecomposition, params: CoronaParams) -> list:
     return rows
 
 
+def _row_keys(rows) -> tuple:
+    """(keys, floats): per row (kind, a, sign, D, ...), its number's key and its float.
+
+    Rows of one exact number share a key, the ints a QuadExt of it takes:
+    (2*value, 0, 1) for a rational, (a, sign, D) for a surd, which equals
+    no rational and no surd with another a, sign or D.  A float row keys on
+    its float.  An exact float is that of the canonical form
+    (a + b*sqrt(delta))/2, as `QuadExt.value` reads it, after one isqrt and
+    at most one square-free split per distinct D.
+    """
+    splits = {}
+    keys, floats = [], []
+    for _, a, sign, d, *_ in rows:
+        if not isinstance(a, int):
+            key = x = (a + sign * math.sqrt(d)) / 2.0
+        else:
+            if d not in splits:
+                r = math.isqrt(d)
+                splits[d] = (r, 1) if r * r == d else square_free_part(d)
+            root, delta = splits[d]
+            b = sign * root
+            if delta == 1:
+                key, x = (a + b, 0, 1), (a + b) / 2.0
+            else:
+                key, x = (a, sign, d), (a + b * math.sqrt(delta)) / 2.0
+        keys.append(key)
+        floats.append(x)
+    return tuple(keys), tuple(floats)
+
+
 @dataclass(frozen=True)
 class CoronaSpectrum:
     """Closed-form corona eigensystem as a row table, with on-demand projector blocks.
@@ -165,33 +196,8 @@ class CoronaSpectrum:
 
     @cached_property
     def _exact(self) -> tuple:
-        """(keys, floats): per row, the key of its number and its float.
-
-        Rows of one exact number share a key, the ints a QuadExt of it
-        takes: (2*value, 0, 1) for a rational, (a, sign, D) for a surd,
-        which equals no rational and no surd with another a, sign or D.  A
-        float row keys on its float.  An exact float is that of the
-        canonical form (a + b*sqrt(delta))/2, as `QuadExt.value` reads it,
-        after one isqrt and at most one square-free split per distinct D.
-        """
-        splits = {}
-        keys, floats = [], []
-        for _, a, sign, d, _, _ in self.rows:
-            if not isinstance(a, int):
-                key = x = (a + sign * math.sqrt(d)) / 2.0
-            else:
-                if d not in splits:
-                    r = math.isqrt(d)
-                    splits[d] = (r, 1) if r * r == d else square_free_part(d)
-                root, delta = splits[d]
-                b = sign * root
-                if delta == 1:
-                    key, x = (a + b, 0, 1), (a + b) / 2.0
-                else:
-                    key, x = (a, sign, d), (a + b * math.sqrt(delta)) / 2.0
-            keys.append(key)
-            floats.append(x)
-        return tuple(keys), tuple(floats)
+        """(keys, floats) of the rows, by `_row_keys`."""
+        return _row_keys(self.rows)
 
     @property
     def floats(self) -> tuple:
@@ -202,32 +208,6 @@ class CoronaSpectrum:
         """The value of row k: a QuadExt when it is exact, its float otherwise."""
         key = self._exact[0][k]
         return QuadExt(*key) if isinstance(key, tuple) else key
-
-    def base_signs(self, u: int, v: int):
-        """Strong cospectrality of base vertices (u,0), (v,0), without projectors.
-
-        Shift projectors vanish on base columns.  A pair or top row of
-        theta has column (w,0) equal to a nonzero multiple of F_theta e_w
-        on base and copy rows alike (its value is never s), so its sign is
-        theta's sign in G.  Rows sharing a value merge on their exact key;
-        a shift never changes a merged sign, and two opposite nonzero signs
-        on one value break strong cospectrality.  Returns (flag, rows,
-        signs) with one row index and one sign per distinct value,
-        descending, in the shape of `strong_cospectrality`.  The row is the
-        value's last, so a pair row whenever the value has one.
-        """
-        flag, theta_signs = strong_cospectrality(self.gdec, u, v)
-        keys, floats = self._exact
-        last, merged = {}, {}
-        for k, (key, (_, _, sign, _, _, idx)) in enumerate(zip(keys, self.rows)):
-            sg = theta_signs[idx] if sign else 0
-            old = merged.get(key, 0)
-            # None marks a value whose eigenspace carries opposite signs
-            merged[key] = None if old is None or old * sg < 0 else old or sg
-            last[key] = k
-        ks = sorted(last.values(), key=floats.__getitem__, reverse=True)
-        flag = flag and None not in merged.values()
-        return flag, tuple(ks), tuple([merged[keys[k]] or 0 for k in ks])
 
     def projector(self, k: int) -> np.ndarray:
         """Materialize the dense eigenprojector of row k in corona order."""

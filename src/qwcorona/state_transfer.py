@@ -7,8 +7,8 @@ Three layers, ordered by strength:
   certification  exact eigenvalue-form and parity analysis that proves or
                  disproves perfect transfer and produces the minimum time;
                  between corona base vertices it runs in closed form from
-                 the factor spectra, and the dense corona matrix serves
-                 only as a test and CLI oracle
+                 G's spectrum and H's order and degree; the dense corona
+                 matrix is only a test and CLI oracle
   search         bounded integer scans for times with near-perfect
                  fidelity; when the relevant pair gaps are irrational
                  surds the paper's conditions guarantee that such times
@@ -35,11 +35,10 @@ from .algebraic import (
 )
 from .corona_spectra import (
     CoronaParams,
-    CoronaSpectrum,
     _amplitude_terms,
     _as_int,
     _pair_rows,
-    corona_spectrum,
+    _row_keys,
     pair_radicand,
     top_radicand,
 )
@@ -355,7 +354,8 @@ def pst_certify(dec: SpectralDecomposition, u: int, v: int) -> PSTReport:
     """
     flag, signs = strong_cospectrality(dec, u, v)
     if not flag:
-        return _not_strongly_cospectral(u, v, dec.eigenvalues, signs)
+        silent = dec.vanishing(u) & dec.vanishing(v)
+        return _not_strongly_cospectral(u, v, dec.eigenvalues, signs, silent)
     supported = [(th, sg) for th, sg in zip(dec.eigenvalues, signs) if sg != 0]
     exact = as_exact([th for th, _ in supported])
     if None in exact:
@@ -371,28 +371,43 @@ def pst_certify(dec: SpectralDecomposition, u: int, v: int) -> PSTReport:
     return _certify_support(u, v, [(e, sg) for e, (_, sg) in zip(exact, supported)])
 
 
-def corona_pst_certify(spectrum: CoronaSpectrum, u: int, v: int) -> PSTReport:
+def corona_pst_certify(
+    gdec: SpectralDecomposition, params: CoronaParams, u: int, v: int
+) -> PSTReport:
     """Decide perfect transfer between corona base vertices in closed form.
 
-    Same chain as `pst_certify`, fed by `CoronaSpectrum.base_signs` instead
-    of dense corona projectors, so the cost is that of the factor
-    decompositions, and no value is recognized from a float; a QuadExt is
-    built only for a supported value of a strongly cospectral pair.  A
-    supported float value comes from a pair row of a non-integral theta in
-    G's support of u, which makes (u,0) nonperiodic
-    (`corona_base_periodicity`), so the pair has no PST (Godsil, "Periodic
-    graphs", 2011); the verdict is no-PST with the largest such theta as
-    witness, the first supported float value's.  Every other support is
-    exact.
+    Same chain as `pst_certify`, on G's pair rows and G's strong
+    cospectrality, so H enters only through n2 and r2.  Shift columns
+    vanish on base vertices, and a pair row of theta has column (w,0) a
+    nonzero multiple of F_theta e_w (its value is never s), so it takes
+    theta's sign.  Rows of one `_row_keys` value merge: silent rows (both
+    columns vanish) drop out, and two live rows with different signs break
+    strong cospectrality.  A supported float value comes from a
+    non-integral theta in G's support of u, so (u,0) is not periodic
+    (`corona_base_periodicity`; Godsil, "Periodic graphs", 2011): no-PST,
+    with the first such theta as witness.  Any other support is exact; a
+    QuadExt is built only for a supported value.
     """
-    flag, ks, signs = spectrum.base_signs(u, v)
+    rows = _pair_rows(gdec, params)
+    keys, floats = _row_keys(rows)
+    flag, theta_signs = strong_cospectrality(gdec, u, v)
+    silent = gdec.vanishing(u) & gdec.vanishing(v)
+    groups = {}  # key -> its float, then the base eigenvalue index of each of its rows
+    for key, x, row in zip(keys, floats, rows):
+        groups.setdefault(key, [x]).append(row[5])
+    merged = []  # per value, descending: (its key, its float, its sign, whether silent)
+    for key, (x, *idx) in sorted(groups.items(), key=lambda item: item[1][0], reverse=True):
+        live = {theta_signs[i] for i in idx if not silent[i]}
+        flag = flag and len(live) <= 1
+        merged.append((key, x, next(iter(live)) if len(live) == 1 else 0, not live))
     if not flag:
-        return _not_strongly_cospectral(u, v, [spectrum.floats[k] for k in ks], signs)
-    supported = [(k, spectrum.value(k), sg) for k, sg in zip(ks, signs) if sg != 0]
-    floating = [k for k, x, _ in supported if not isinstance(x, QuadExt)]
+        _, xs, signs, mute = zip(*merged)
+        return _not_strongly_cospectral(u, v, xs, signs, mute)
+    supported = [(key, sg) for key, _, sg, _ in merged if sg != 0]
+    floating = [key for key, _ in supported if not isinstance(key, tuple)]
     if not floating:
-        return _certify_support(u, v, [(x, sg) for _, x, sg in supported])
-    theta = spectrum.gdec.eigenvalues[spectrum.rows[floating[0]][5]]
+        return _certify_support(u, v, [(QuadExt(*key), sg) for key, sg in supported])
+    theta = gdec.eigenvalues[groups[floating[0]][1]]
     if _as_int(theta) is not None:
         raise InternalInvariantError(
             f"a float corona value is supported at {u}, but its base eigenvalue "
@@ -404,19 +419,20 @@ def corona_pst_certify(spectrum: CoronaSpectrum, u: int, v: int) -> PSTReport:
         verdict=NO_PST,
         basis="nonperiodic-endpoint",
         strongly_cospectral=True,
-        support=tuple(x for _, x, _ in supported),
+        support=tuple(QuadExt(*key) if isinstance(key, tuple) else key for key, _ in supported),
         refutation_witness={"vertex": u, "rule": "non-integral-base-eigenvalue", "witness": theta},
     )
 
 
-def _not_strongly_cospectral(u, v, eigenvalues, signs) -> PSTReport:
+def _not_strongly_cospectral(u, v, values, signs, silent) -> PSTReport:
+    """no-PST, witnessed by the values where the columns differ: sign 0, not silent."""
     return PSTReport(
         u=u,
         v=v,
         verdict=NO_PST,
         basis="not-strongly-cospectral",
         strongly_cospectral=False,
-        refutation_witness=[th for th, sg in zip(eigenvalues, signs) if sg == 0],
+        refutation_witness=[x for x, sg, z in zip(values, signs, silent) if sg == 0 and not z],
     )
 
 
@@ -739,10 +755,10 @@ def corona_base_pst_check(g: Graph, h: Graph, u: int, v: int) -> PSTReport:
 
     Cheap exact refutations run first on the base supports: the size
     bound, the two-vertex-base rules, the gap rules, then the periodicity
-    split.  Only if all of those pass (or do not apply) is H decomposed and
-    the closed-form spectrum handed to `corona_pst_certify`, which refutes
-    a non-integral base support once strong cospectrality holds.  No matrix
-    larger than max(n1, n2) is built; the dense corona is a test oracle.
+    split.  Only if all of those pass (or do not apply) does G's
+    decomposition go to `corona_pst_certify`, which refutes a non-integral
+    base support once strong cospectrality holds.  Only G is eigensolved;
+    H gives its order and degree.  The dense corona is a test oracle.
     """
     params = CoronaParams.from_graphs(g, h)
     if u == v or not (0 <= u < params.n1 and 0 <= v < params.n1):
@@ -764,5 +780,4 @@ def corona_base_pst_check(g: Graph, h: Graph, u: int, v: int) -> PSTReport:
                 refutation_witness=witness,
             )
 
-    hdec = decompose(signless_laplacian(h))
-    return corona_pst_certify(corona_spectrum(gdec, hdec, params), u, v)
+    return corona_pst_certify(gdec, params, u, v)

@@ -351,6 +351,26 @@ def test_spectrum_projectors_flag(capsys):
     assert np.allclose(ps.sum(axis=0), np.eye(2))
 
 
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["spectrum", "K:2", "--projectors"], "--projectors"),
+        (["corona-spectrum", "K:2", "K:1", "--materialize-projectors"], "--materialize-projectors"),
+    ],
+)
+@pytest.mark.parametrize("by_env", [False, True])
+def test_projectors_have_no_csv_form(capsys, monkeypatch, argv, flag, by_env):
+    # CSV has no place for projector matrices: the request fails and names
+    # the flag, whether the flag or QWC_FORMAT asks for CSV
+    if by_env:
+        monkeypatch.setenv("QWC_FORMAT", "csv")
+    else:
+        argv = argv + ["--format", "csv"]
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (2, "")
+    assert flag in err and "CSV" in err
+
+
 def test_spectrum_surd_recognition(capsys):
     out = run_json(capsys, ["spectrum", "C:5"])
     vals = [r["value"] for r in out["eigenvalues"]]
