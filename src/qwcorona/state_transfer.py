@@ -2,8 +2,10 @@
 
 Three layers, ordered by strength:
 
-  refutations    parameter inequalities on the base support that rule out
-                 periodicity of a corona base vertex, hence transfer
+  refutations    integer rules on a corona's order, degree and base support
+                 (the size bound, the K2 rules, close-top-ratio, non-square
+                 radicands) that rule out periodicity of a base vertex,
+                 hence transfer; one private ladder, `_refutation`
   certification  exact eigenvalue-form and parity analysis that proves or
                  disproves perfect transfer and produces the minimum time;
                  between corona base vertices it runs in closed form from
@@ -86,18 +88,6 @@ class PSTReport:
 
 
 @dataclass(frozen=True)
-class PeriodicityReport:
-    """Whether a vertex returns to itself with fidelity one at some time."""
-
-    vertex: object
-    periodic: bool
-    case: str
-    basis: str
-    delta: object = None
-    witness: object = None
-
-
-@dataclass(frozen=True)
 class PGSTSearchResult:
     """Best time found by a bounded scan for near-perfect transfer."""
 
@@ -110,230 +100,6 @@ class PGSTSearchResult:
     best_l: object = None
     time: object = None
     fidelity: object = None
-
-
-@dataclass(frozen=True)
-class K2CoronaVerdict:
-    """Transfer verdict for the two base vertices of a two-vertex base."""
-
-    n2: int
-    r2: int
-    verdict: str
-    basis: str
-    provenance: str
-    witness: object = None
-
-
-# ---------------------------------------------------------------------------
-# periodicity
-
-
-def _refuted(vertex, basis: str, witness) -> PeriodicityReport:
-    return PeriodicityReport(vertex, False, "refuted", basis, witness=witness)
-
-
-def _integral_support(support):
-    """Support as a list of plain ints, or None when any value is not integral."""
-    out = []
-    for x in support:
-        if isinstance(x, QuadExt):
-            k = x.as_integer() if x.is_integer else None
-        else:
-            k = _as_int(x)
-        if k is None:
-            return None
-        out.append(k)
-    return out
-
-
-def corona_base_periodicity(
-    params: CoronaParams, base_support, vertex=None
-) -> PeriodicityReport:
-    """Periodicity of a base vertex of the corona, from base support data.
-
-    The support of (v,0) consists of both members of every pair spawned by
-    a base support eigenvalue plus the top pair, so the decision reduces to
-    exact conditions on the pair radicands.
-
-    A non-integral theta in the base support refutes periodicity.  Its
-    pair members sum to theta + s + t, so an integral support of (v,0)
-    makes theta an integer.  A quadratic one has members
-    (a + b*sqrt(delta))/2 with one a, which the top pair fixes at
-    2*r1 + s + t; so theta = 2*r1 + e*sqrt(delta) with e != 0, and the
-    squared gap (theta - s + t)^2 + 4*n2, rational as (b+ - b-)^2*delta/4,
-    forces 2*r1 - s + t = 0.  For n1 >= 3 and r1 >= 1 that cannot hold
-    (s <= n1 + 2*n2 - 3 < 2 + n2*(n1 - 1) <= 2*r1 + t), so it leaves K2
-    and edgeless bases, whose spectra are integral: a non-integral support
-    there raises ValueError.
-
-    For an integral support the split is on whether 2*r1 + t equals s: if
-    not, all radicands must be perfect squares; if so, a single
-    square-free delta must make every gap an integer multiple of
-    sqrt(delta), which forces delta = square-free part of n2 and then
-    delta | n2.
-    """
-    balanced = params.s == 2 * params.r1 + params.t
-    ints = _integral_support(base_support)
-    if ints is None:
-        if balanced:
-            raise ValueError(
-                "a base with s = 2*r1 + t is K2 or edgeless and has an integral "
-                f"spectrum, got support {list(base_support)}"
-            )
-        theta = next(x for x in base_support if _integral_support([x]) is None)
-        return _refuted(vertex, "non-integral-base-eigenvalue", theta)
-
-    top = 2 * params.r1
-    rest = sorted({th for th in ints if th != top}, reverse=True)
-
-    if balanced:
-        _, delta_star = square_free_part(params.n2)
-        if delta_star != 1:
-            if rest:
-                x = rest[0] - params.s + params.t
-                return _refuted(vertex, "surd-multiple-violation", x)
-            if params.n2 % delta_star:
-                raise InternalInvariantError(
-                    f"square-free part {delta_star} does not divide n2 = {params.n2}"
-                )
-            return PeriodicityReport(
-                vertex=vertex,
-                periodic=True,
-                case="quadratic-case",
-                basis="common-surd-support",
-                delta=delta_star,
-            )
-        # delta 1 coincides with the integer case below
-
-    for th in rest:
-        d = pair_radicand(params, th)
-        if not is_perfect_square(d):
-            return _refuted(vertex, "non-square-pair-gap", (th, d))
-    d_top = top_radicand(params)
-    if not is_perfect_square(d_top):
-        return _refuted(vertex, "non-square-top-gap", (top, d_top))
-    return PeriodicityReport(
-        vertex=vertex, periodic=True, case="integer-case", basis="integer-support", delta=1
-    )
-
-
-# ---------------------------------------------------------------------------
-# refutations
-
-
-def periodicity_size_bound(params: CoronaParams, base_support):
-    """Necessary size inequalities for a periodic corona base vertex.
-
-    Requires n2 >= |theta - s + t| + 1 for every support eigenvalue below
-    the top and n2*(n1-1)^2 >= |2*r1 - s + t| + 1.  Returns (holds,
-    violating eigenvalue or None).
-    """
-    ints = _integral_support(base_support)
-    if ints is None:
-        raise ValueError("size bound needs an integral base support")
-    top = 2 * params.r1
-    for th in ints:
-        if th == top:
-            continue
-        if params.n2 < abs(th - params.s + params.t) + 1:
-            return False, th
-    if params.n2 * (params.n1 - 1) ** 2 < abs(top - params.s + params.t) + 1:
-        return False, top
-    return True, None
-
-
-def support_gap_refutation(params: CoronaParams, base_support):
-    """Nonperiodicity from gap comparisons on the base support.
-
-    Some pair of support eigenvalues below the top has
-    0 < |lam - s + t| - |mu - s + t| < 3, or some gamma has
-    0 < ||2*r1 - s + t| - (n1-1)*|gamma - s + t|| < 3.  (The differences
-    are integers, and an integer d has d^2 in {delta, 4*delta} with
-    square-free delta only for d in {1, 2}, so no surd variant of these
-    rules can add a refutation.)  Returns (nonperiodic, rule token,
-    witness).
-    """
-    ints = _integral_support(base_support)
-    if ints is None:
-        raise ValueError("gap refutation needs an integral base support")
-    top = 2 * params.r1
-    rest = sorted({th for th in ints if th != top}, reverse=True)
-    gaps = {th: abs(th - params.s + params.t) for th in rest}
-    top_gap = abs(top - params.s + params.t)
-
-    for lam in rest:
-        for mu in rest:
-            if lam == mu:
-                continue
-            d = gaps[lam] - gaps[mu]
-            if 0 < d < 3:
-                return True, "close-gap-pair", (lam, mu)
-    for gamma in rest:
-        d = abs(top_gap - (params.n1 - 1) * gaps[gamma])
-        if 0 < d < 3:
-            return True, "close-top-ratio", gamma
-
-    return False, None, None
-
-
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n % 2 == 0:
-        return n == 2
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 2
-    return True
-
-
-def k2_corona_no_pst(n2: int, r2: int) -> K2CoronaVerdict:
-    """Transfer verdict between the two base vertices of a K2 corona.
-
-    For even n2 the answer is no transfer, imported from the literature
-    and labeled as such.  For n2 = 1 or an odd prime the square-difference
-    analysis is re-run exactly: the pair radicands at theta = 0 and at the
-    top, x^2 + 4*n2 and (x+2)^2 + 4*n2 with x = n2 - 2*r2 - 1, can never
-    both be perfect squares, so the endpoint is not even periodic.  Odd
-    composite n2 is outside both rules and stays undecided.
-    """
-    if n2 < 1:
-        raise ValueError(f"attachment order must be positive, got {n2}")
-    if not 0 <= r2 <= n2 - 1:
-        raise ValueError(f"attachment degree {r2} out of range [0, {n2 - 1}]")
-    if n2 % 2 == 0:
-        return K2CoronaVerdict(
-            n2=n2,
-            r2=r2,
-            verdict=NO_PST,
-            basis="even-order-rule",
-            provenance="external-literature",
-        )
-    if n2 == 1 or _is_prime(n2):
-        params = CoronaParams(n1=2, n2=n2, r1=1, r2=r2)
-        radicands = (pair_radicand(params, 0), top_radicand(params))
-        bad = [d for d in radicands if not is_perfect_square(d)]
-        if not bad:
-            raise InternalInvariantError(
-                "both pair radicands are squares; impossible for odd prime order"
-            )
-        return K2CoronaVerdict(
-            n2=n2,
-            r2=r2,
-            verdict=NO_PST,
-            basis="prime-order-rule",
-            provenance="derived",
-            witness=bad[0],
-        )
-    return K2CoronaVerdict(
-        n2=n2,
-        r2=r2,
-        verdict="undecided",
-        basis="outside-rule-scope",
-        provenance="derived",
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -383,10 +149,14 @@ def corona_pst_certify(
     theta's sign.  Rows of one `_row_keys` value merge: silent rows (both
     columns vanish) drop out, and two live rows with different signs break
     strong cospectrality.  A supported float value comes from a
-    non-integral theta in G's support of u, so (u,0) is not periodic
-    (`corona_base_periodicity`; Godsil, "Periodic graphs", 2011): no-PST,
-    with the first such theta as witness.  Any other support is exact; a
-    QuadExt is built only for a supported value.
+    non-integral theta in G's support of u, and then (u,0) is not periodic
+    (Godsil, "Periodic graphs", 2011): no-PST, with the first such theta as
+    witness.  Theta's pair members sum to theta + s + t, so they are not
+    integers; as quadratic values (a + b*sqrt(delta))/2 of a periodic
+    vertex they would share the top pair's a = 2*r1 + s + t, so
+    theta = 2*r1 + e*sqrt(delta), and a rational squared gap then forces
+    s = 2*r1 + t, which only the integral base K2 meets.  Any other support
+    is exact; a QuadExt is built only for a supported value.
     """
     rows = _pair_rows(gdec, params)
     keys, floats = _row_keys(rows)
@@ -725,27 +495,67 @@ def pgst_cocktail(
 def _refutation(params: CoronaParams, u: int, v: int, integral: dict):
     """First exact refutation of transfer between base vertices u and v.
 
-    Rules in order: the size bound, the two-vertex-base rules, the gap
-    rules, then the periodicity split, each on the integral base supports
-    in `integral`.  Returns (basis, vertex whose support is reported,
-    witness), or None when no rule fires.
+    `integral` maps u and v to their base supports as plain ints.  Each
+    rule shows a base vertex is not periodic, hence has no transfer
+    (Godsil, "Periodic graphs", 2011), or applies to the K2 base.  Tried in
+    order, with gap(theta) = |theta - s + t| and top = 2*r1:
+
+      size-bound            n2 >= gap(theta) + 1 for every support theta
+                            below the top, n2*(n1 - 1)^2 >= gap(top) + 1;
+                            u first, then v
+      even-order-rule       n1 = 2 and even n2, from the literature
+      prime-order-rule      n1 = 2 and n2 = 1 or an odd prime: the
+                            radicands at theta = 0 and at the top are never
+                            both squares
+      close-top-ratio       0 < |gap(top) - (n1 - 1)*gap(gamma)| < 3 for a
+                            support gamma below the top
+      nonperiodic-endpoint  a non-square pair radicand below the top, then
+                            a non-square top radicand; u first, then v
+
+    No other rule can fire.  Once the size bound holds, a support has at
+    most one value below the top: r2 <= n2 - 1 gives theta - s + t >=
+    theta + 3 - n1 + n2*(n1 - 3), which reaches n2 for n1 >= 4 and
+    theta >= 1, so only theta = 0 is left; and the connected regular bases
+    on 2 and 3 vertices are K2 and K3.  So no two gaps below the top can be
+    compared.  The balanced case s = 2*r1 + t needs n1 = 2, where a K2
+    rule or close-top-ratio (gap(0) = 2, gap(top) = 0) fires first.
+    Returns (basis, vertex whose support is reported, witness), or None
+    when no rule fires.
     """
+    top = 2 * params.r1
+    shift = params.t - params.s
+    below = {w: [th for th in integral[w] if th != top] for w in (u, v)}
     for w in (u, v):
-        holds, witness = periodicity_size_bound(params, integral[w])
-        if not holds:
-            return "size-bound", w, {"vertex": w, "eigenvalue": witness}
+        for th in below[w]:
+            if params.n2 < abs(th + shift) + 1:
+                return "size-bound", w, {"vertex": w, "eigenvalue": th}
+        if params.n2 * (params.n1 - 1) ** 2 < abs(top + shift) + 1:
+            return "size-bound", w, {"vertex": w, "eigenvalue": top}
     if params.n1 == 2:
-        k2 = k2_corona_no_pst(params.n2, params.r2)
-        if k2.verdict == NO_PST:
-            return k2.basis, u, {"provenance": k2.provenance, "witness": k2.witness}
+        n2 = params.n2
+        if n2 % 2 == 0:
+            return "even-order-rule", u, {"provenance": "external-literature", "witness": None}
+        if all(n2 % f for f in range(3, math.isqrt(n2) + 1, 2)):
+            radicands = (pair_radicand(params, 0), top_radicand(params))
+            bad = [d for d in radicands if not is_perfect_square(d)]
+            if not bad:
+                raise InternalInvariantError(
+                    "both pair radicands are squares; impossible for odd prime order"
+                )
+            return "prime-order-rule", u, {"provenance": "derived", "witness": bad[0]}
     for w in (u, v):
-        fired, which, witness = support_gap_refutation(params, integral[w])
-        if fired:
-            return which, w, {"vertex": w, "witness": witness}
+        for gamma in below[w]:
+            if 0 < abs(abs(top + shift) - (params.n1 - 1) * abs(gamma + shift)) < 3:
+                return "close-top-ratio", w, {"vertex": w, "witness": gamma}
     for w in (u, v):
-        per = corona_base_periodicity(params, integral[w], vertex=w)
-        if not per.periodic:
-            witness = {"vertex": w, "rule": per.basis, "witness": per.witness}
+        for th in below[w]:
+            d = pair_radicand(params, th)
+            if not is_perfect_square(d):
+                witness = {"vertex": w, "rule": "non-square-pair-gap", "witness": (th, d)}
+                return "nonperiodic-endpoint", w, witness
+        d = top_radicand(params)
+        if not is_perfect_square(d):
+            witness = {"vertex": w, "rule": "non-square-top-gap", "witness": (top, d)}
             return "nonperiodic-endpoint", w, witness
     return None
 
@@ -753,21 +563,19 @@ def _refutation(params: CoronaParams, u: int, v: int, integral: dict):
 def corona_base_pst_check(g: Graph, h: Graph, u: int, v: int) -> PSTReport:
     """Full transfer decision between two base vertices of a corona.
 
-    Cheap exact refutations run first on the base supports: the size
-    bound, the two-vertex-base rules, the gap rules, then the periodicity
-    split.  Only if all of those pass (or do not apply) does G's
-    decomposition go to `corona_pst_certify`, which refutes a non-integral
-    base support once strong cospectrality holds.  Only G is eigensolved;
-    H gives its order and degree.  The dense corona is a test oracle.
+    Cheap exact refutations (`_refutation`) run first on integral base
+    supports.  Only if none fires does G's decomposition go to
+    `corona_pst_certify`, which refutes a non-integral base support once
+    strong cospectrality holds.  Only G is eigensolved; H gives its order
+    and degree.  The dense corona is a test oracle.
     """
     params = CoronaParams.from_graphs(g, h)
     if u == v or not (0 <= u < params.n1 and 0 <= v < params.n1):
         raise ValueError(f"need two distinct base vertices below {params.n1}")
     gdec = decompose(signless_laplacian(g))
-    supports = {w: eigenvalue_support(gdec, w) for w in (u, v)}
-    integral = {w: _integral_support(sup) for w, sup in supports.items()}
+    integral = {w: [_as_int(x) for x in eigenvalue_support(gdec, w)] for w in (u, v)}
 
-    if all(ints is not None for ints in integral.values()):
+    if all(None not in ints for ints in integral.values()):
         refuted = _refutation(params, u, v, integral)
         if refuted is not None:
             basis, w, witness = refuted

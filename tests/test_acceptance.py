@@ -39,13 +39,11 @@ from qwcorona.spectra import (
 from qwcorona.state_transfer import (
     NO_PST,
     PST,
-    corona_base_periodicity,
+    _refutation,
     corona_base_pst_check,
-    k2_corona_no_pst,
     pgst_cocktail,
     pgst_time_search,
     pst_certify,
-    support_gap_refutation,
 )
 
 from oracle import (
@@ -144,7 +142,7 @@ def test_criterion_03_cycle_coronas_refuted_and_numerically_quiet():
 
 def test_criterion_04_cube_family_nonperiodic_with_exact_spectra():
     # cubes (d = 3, 4) and the halved 4-cube: known closed spectra, and
-    # every base vertex of the pendant corona is refuted by the gap rules
+    # every base pair of the pendant corona is refuted by the size bound
     cases = []
     for d in (3, 4):
         values = {2 * d - 2 * k: math.comb(d, k) for k in range(d + 1)}
@@ -162,26 +160,20 @@ def test_criterion_04_cube_family_nonperiodic_with_exact_spectra():
         assert got == values
         assert max(abs(v - round(v)) for v in dec.eigenvalues) <= 1e-8
 
-        params = CoronaParams.from_graphs(g, complete_graph(1))
-        for w in range(g.n):
-            support = eigenvalue_support(dec, w)
-            fired, which, _ = support_gap_refutation(params, support)
-            assert fired, (g.n, w)
-            assert which.startswith("close-gap"), which
+        for w in range(1, g.n):
+            rep = corona_base_pst_check(g, complete_graph(1), 0, w)
+            assert (rep.verdict, rep.basis) == (NO_PST, "size-bound"), (g.n, w)
 
 
 def test_criterion_05_two_vertex_base_rule():
     # K2 with odd attachments of one, three, five vertices: no transfer,
-    # confirmed by the derived rule, the orchestrator, and the numbers
+    # confirmed by the orchestrator (the size bound for one vertex, the
+    # derived rule otherwise) and by the numbers
     g = complete_graph(2)
-    for hspec, n2, r2 in (("K:1", 1, 0), ("C:3", 3, 2), ("C:5", 5, 2)):
-        rule = k2_corona_no_pst(n2, r2)
-        assert rule.verdict == NO_PST
-        assert rule.basis == "prime-order-rule"
-
+    for hspec, basis in (("K:1", "size-bound"), ("C:3", "prime-order-rule"), ("C:5", "prime-order-rule")):
         h = generate(hspec)
         rep = corona_base_pst_check(g, h, 0, 1)
-        assert rep.verdict == NO_PST, hspec
+        assert (rep.verdict, rep.basis) == (NO_PST, basis), hspec
 
         cdec = decompose(corona_full_q(g, h))
         scan = fidelity_scan(cdec, 0, 1, 50.0, 2000)
@@ -266,8 +258,9 @@ def test_criterion_10_antipodal_projector_identity():
 
 def test_criterion_11_exact_identities_and_divisibility():
     # product identities in exact arithmetic for every integral-spectrum
-    # pair, then a parameter sweep: every periodic quadratic base vertex
-    # has its surd dividing the attachment order
+    # pair, then a parameter sweep: no base vertex with s = 2*r1 + t, where
+    # a periodic one would need its surd to divide the attachment order,
+    # survives the refutation rules
     for gspec, hspec in PAIRS:
         if gspec == "C:5":
             continue
@@ -298,18 +291,11 @@ def test_criterion_11_exact_identities_and_divisibility():
         )
         assert lhs == QuadExt.from_int(second)
 
-    found = 0
-    for n1 in range(2, 9):
-        for n2 in range(1, 13):
-            for r1 in range(n1):
-                for r2 in range(n2):
-                    try:
-                        params = CoronaParams(n1=n1, n2=n2, r1=r1, r2=r2)
-                    except ValueError:
-                        continue
-                    rep = corona_base_periodicity(params, [2 * r1])
-                    if rep.periodic and rep.case == "quadratic-case":
-                        found += 1
-                        assert rep.delta is not None and rep.delta > 1
-                        assert params.n2 % rep.delta == 0
-    assert found >= 5
+    # s = 2*r1 + t holds on connected bases only for K2 with
+    # r2 = (n2 + 1)/2; a rule refutes every such base vertex, so no
+    # quadratic case reaches the certifier
+    integral = {w: [round(x) for x in eigenvalue_support(build("K:2", "K:1")[3], w)] for w in (0, 1)}
+    for n2 in range(3, 40, 2):
+        params = CoronaParams(n1=2, n2=n2, r1=1, r2=(n2 + 1) // 2)
+        assert params.s == 2 * params.r1 + params.t
+        assert _refutation(params, 0, 1, integral) is not None, n2

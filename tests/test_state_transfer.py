@@ -7,30 +7,35 @@ import re
 import numpy as np
 import pytest
 
+import qwcorona
 from qwcorona.algebraic import QuadExt
-from qwcorona.corona_spectra import CoronaParams, corona_full_q, corona_transition_element
+from qwcorona.corona_spectra import (
+    CoronaParams,
+    corona_full_q,
+    corona_transition_element,
+    pair_radicand,
+    top_radicand,
+)
 from qwcorona.graphs import (
     cocktail_party_graph,
     complete_graph,
     cycle_graph,
     generate,
+    graph_from_edges,
     path_graph,
+    regular_degree,
     signless_laplacian,
 )
 from qwcorona.spectra import decompose, eigenvalue_support, fidelity_scan, transition_amplitude
 from qwcorona.state_transfer import (
     NO_PST,
     PST,
-    UNDECIDED,
-    corona_base_periodicity,
+    _refutation,
     corona_base_pst_check,
-    k2_corona_no_pst,
-    periodicity_size_bound,
     pgst_cocktail,
     pgst_scan,
     pgst_time_search,
     pst_certify,
-    support_gap_refutation,
 )
 
 
@@ -43,76 +48,66 @@ def dec_of(spec: str):
 # =========================================================================
 
 
+def decide(gspec: str, hspec: str, u: int = 0, v: int = 1):
+    return corona_base_pst_check(generate(gspec), generate(hspec), u, v)
+
+
+def int_supports(spec: str, *vertices) -> dict:
+    """Base supports as plain ints, the form `_refutation` reads."""
+    dec = dec_of(spec)
+    return {w: [round(x) for x in eigenvalue_support(dec, w)] for w in vertices}
+
+
 def test_corona_base_c4_pendant_not_periodic():
-    params = CoronaParams(n1=4, n2=1, r1=2, r2=0)
-    rep = corona_base_periodicity(params, [4, 2, 0])
-    assert not rep.periodic
+    # base vertex 0 is refuted whichever vertex it is paired with
+    for v in (1, 2, 3):
+        rep = decide("C:4", "K:1", 0, v)
+        assert (rep.verdict, rep.basis) == (NO_PST, "size-bound")
+        assert rep.refutation_witness["vertex"] == 0
 
 
 def test_corona_base_k2_pendant_not_periodic():
-    params = CoronaParams(n1=2, n2=1, r1=1, r2=0)
-    rep = corona_base_periodicity(params, [2, 0])
-    assert not rep.periodic
-    assert rep.case == "refuted"
+    rep = decide("K:2", "K:1")
+    assert (rep.verdict, rep.basis) == (NO_PST, "size-bound")
+    assert rep.refutation_witness["vertex"] == 0
 
 
 def test_corona_base_positive_integer_instance():
-    # K3 with C4 attachments: radicands 25 and 100 are perfect squares
+    # K3 with C4 attachments: radicands 25 and 100 are perfect squares, so
+    # both endpoints pass every rule
     params = CoronaParams(n1=3, n2=4, r1=2, r2=2)
-    rep = corona_base_periodicity(params, [4, 1])
-    assert rep.periodic
-    assert rep.case == "integer-case"
-
-
-def test_corona_base_quadratic_positive_instance():
-    # s = 2*r1 + t with a singleton support and square-free n2
-    params = CoronaParams(n1=2, n2=3, r1=0, r2=1)
-    assert params.s == 2 * params.r1 + params.t
-    rep = corona_base_periodicity(params, [0])
-    assert rep.periodic
-    assert rep.case == "quadratic-case"
-    assert rep.delta == 3
-    assert params.n2 % rep.delta == 0
-
-
-def test_corona_base_quadratic_refuted_with_extra_support():
-    params = CoronaParams(n1=2, n2=3, r1=0, r2=1)
-    rep = corona_base_periodicity(params, [0, 2])
-    assert not rep.periodic
-    assert rep.basis == "surd-multiple-violation"
-
-
-def test_corona_base_square_n2_routes_to_integer_case():
-    # s = 2*r1 + t but n2 = 9 is a perfect square, so delta collapses to 1
-    params = CoronaParams(n1=2, n2=9, r1=0, r2=4)
-    assert params.s == 2 * params.r1 + params.t
-    rep = corona_base_periodicity(params, [0])
-    assert rep.periodic
-    assert rep.case == "integer-case"
+    assert (pair_radicand(params, 1), top_radicand(params)) == (25, 100)
+    integral = int_supports("K:3", 0, 1)
+    assert integral == {0: [4, 1], 1: [4, 1]}
+    assert _refutation(params, 0, 1, integral) is None
 
 
 def test_corona_base_float_support_falls_back():
-    params = CoronaParams(n1=4, n2=1, r1=2, r2=0)
-    rep = corona_base_periodicity(params, [4.0, 2.0 + 1e-3, 0.0])
-    assert rep.case in ("refuted", UNDECIDED)
+    # C:5's base support is not integral, so no rule runs and the
+    # certifier decides
+    rep = decide("C:5", "K:1")
+    assert (rep.verdict, rep.basis, rep.strongly_cospectral) == (NO_PST, "not-strongly-cospectral", False)
 
 
 @pytest.mark.parametrize("n, theta", [(5, (3 + math.sqrt(5)) / 2), (8, 2 + math.sqrt(2))])
 def test_corona_base_non_integral_support_refuted(n, theta):
-    # C:n~oK:1 has s = n - 1 and t = n - 1, so s != 2*r1 + t = n + 3
-    params = CoronaParams(n1=n, n2=1, r1=2, r2=0)
-    support = eigenvalue_support(dec_of(f"C:{n}"), 0)
-    rep = corona_base_periodicity(params, support, vertex=0)
-    assert (rep.periodic, rep.case, rep.basis) == (False, "refuted", "non-integral-base-eigenvalue")
-    assert rep.witness == pytest.approx(theta, abs=1e-9)
-
-
-def test_corona_base_balanced_non_integral_support_rejected():
-    # K2 with K:3 has s = 2*r1 + t = 5; K2's spectrum {2, 0} is integral
-    params = CoronaParams(n1=2, n2=3, r1=1, r2=2)
-    assert params.s == 2 * params.r1 + params.t
-    with pytest.raises(ValueError, match="integral spectrum"):
-        corona_base_periodicity(params, [2, 0.5])
+    # theta lies in the support of base vertex 0 of C:n~oK:1, so the
+    # certifier decides every pair; the only strongly cospectral one, the
+    # antipodal pair of C:8, is refuted by theta
+    assert min(abs(x - theta) for x in eigenvalue_support(dec_of(f"C:{n}"), 0)) < 1e-9
+    reps = [decide(f"C:{n}", "K:1", 0, v) for v in range(1, n)]
+    assert all(rep.verdict == NO_PST for rep in reps)
+    refuted = [rep for rep in reps if rep.strongly_cospectral]
+    assert [rep.v for rep in refuted] == ([4] if n == 8 else [])
+    for rep in refuted:
+        wit = rep.refutation_witness
+        assert (rep.basis, wit["vertex"], wit["rule"]) == (
+            "nonperiodic-endpoint",
+            0,
+            "non-integral-base-eigenvalue",
+        )
+        assert wit["witness"] == pytest.approx(theta, abs=1e-9)
+    assert all(rep.basis == "not-strongly-cospectral" for rep in reps if not rep.strongly_cospectral)
 
 
 def test_balanced_corona_params_only_on_k2_or_edgeless_bases():
@@ -127,38 +122,59 @@ def test_balanced_corona_params_only_on_k2_or_edgeless_bases():
                         assert n1 == 2 or r1 == 0, (n1, n2, r1, r2)
 
 
+def test_size_bound_leaves_only_zero_below_the_top():
+    # the lemma behind `_refutation`'s rule list: on n1 >= 4 vertices every
+    # theta >= 1 breaks n2 >= |theta - s + t| + 1, whatever r2 < n2
+    n2 = np.arange(1, 81)[:, None, None]
+    r2 = np.arange(80)[None, :, None]
+    for n1 in range(4, 41):
+        theta = np.arange(1, 2 * (n1 - 1) + 1)[None, None, :]
+        gap = np.abs(theta - (n1 + 2 * r2 - 1) + n2 * (n1 - 1))
+        assert np.all((r2 >= n2) | (n2 < gap + 1)), n1
+
+
+def test_k2_odd_composite_attachments_meet_close_top_ratio():
+    # the K2 rules skip odd composite n2; wherever the size bound holds there,
+    # close-top-ratio fires, so the balanced case never reaches a later rule
+    integral = int_supports("K:2", 0, 1)
+    fired = 0
+    for n2 in range(9, 400, 2):
+        if all(n2 % f for f in range(3, math.isqrt(n2) + 1, 2)):
+            continue
+        for r2 in range(n2):
+            params = CoronaParams(n1=2, n2=n2, r1=1, r2=r2)
+            x = params.t - params.s
+            if n2 < abs(x) + 1 or n2 < abs(2 + x) + 1:
+                continue
+            basis, w, witness = _refutation(params, 0, 1, integral)
+            assert (basis, w, witness) == ("close-top-ratio", 0, {"vertex": 0, "witness": 0}), (n2, r2)
+            fired += 1
+    assert fired > 10_000
+
+
 # =========================================================================
 # size bound
 # =========================================================================
 
 
 def test_size_bound_violated_for_c4():
-    params = CoronaParams(n1=4, n2=1, r1=2, r2=0)
-    holds, witness = periodicity_size_bound(params, [4, 2, 0])
-    assert not holds
-    assert witness == 2
+    rep = decide("C:4", "K:1", 0, 2)
+    assert rep.basis == "size-bound"
+    assert rep.refutation_witness == {"vertex": 0, "eigenvalue": 2}
 
 
 def test_size_bound_top_violation_for_k2_pendant():
     # with r2 = 0 the top inequality n2*(n1-1)^2 >= |2*r1 - s + t| + 1 fails
-    params = CoronaParams(n1=2, n2=1, r1=1, r2=0)
-    holds, witness = periodicity_size_bound(params, [2, 0])
-    assert not holds
-    assert witness == 2
+    rep = decide("K:2", "K:1")
+    assert rep.basis == "size-bound"
+    assert rep.refutation_witness == {"vertex": 0, "eigenvalue": 2}
 
 
 def test_size_bound_holds_for_k2_cycle_attachments():
-    # r2 >= 1 shrinks the top gap enough for K2 bases
-    for n2, r2 in [(3, 2), (5, 2), (4, 1)]:
-        params = CoronaParams(n1=2, n2=n2, r1=1, r2=r2)
-        holds, witness = periodicity_size_bound(params, [2, 0])
-        assert holds and witness is None
-
-
-def test_size_bound_needs_integers():
-    params = CoronaParams(n1=4, n2=1, r1=2, r2=0)
-    with pytest.raises(ValueError):
-        periodicity_size_bound(params, [4.0, 2.5, 0.0])
+    # r2 >= 1 shrinks the top gap enough for K2 bases: a K2 rule decides
+    for h in (generate("C:3"), generate("C:5"), graph_from_edges(4, [(0, 1), (2, 3)])):
+        rep = corona_base_pst_check(complete_graph(2), h, 0, 1)
+        assert rep.basis in ("prime-order-rule", "even-order-rule"), h
 
 
 # =========================================================================
@@ -167,30 +183,42 @@ def test_size_bound_needs_integers():
 
 
 def test_gap_refutation_cube():
-    # Q-spectrum of the 3-cube is {6,4,2,0}; consecutive gaps of two fire
-    params = CoronaParams(n1=8, n2=1, r1=3, r2=0)
-    fired, which, witness = support_gap_refutation(params, [6, 4, 2, 0])
-    assert fired
-    assert which == "close-gap-pair"
+    # Q-spectrum of the 3-cube is {6,4,2,0}; its gaps of two are never
+    # compared, since the size bound fails first
+    for v in range(1, 8):
+        rep = decide("HQ:3", "K:1", 0, v)
+        assert (rep.verdict, rep.basis) == (NO_PST, "size-bound")
+        assert rep.refutation_witness["eigenvalue"] in (4, 2, 0)
 
 
 def test_gap_refutation_halved_cube():
     # halved 4-cube spectrum {12,6,4}
-    params = CoronaParams(n1=8, n2=1, r1=6, r2=0)
-    fired, which, _ = support_gap_refutation(params, [12, 6, 4])
-    assert fired
+    for v in range(1, 8):
+        assert decide("halved:2", "K:1", 0, v).basis == "size-bound"
 
 
 def test_gap_refutation_singleton_vacuous():
-    params = CoronaParams(n1=3, n2=4, r1=2, r2=2)
-    fired, _, _ = support_gap_refutation(params, [4])
-    assert not fired
+    # wherever the size bound holds, a support has at most one value below
+    # the top, so no two gaps below the top are ever compared
+    checked = 0
+    for gspec in ("K:2", "K:3", "K:4", "C:4", "C:6", "CP:3", "CP:4", "HQ:3", "halved:2"):
+        g = generate(gspec)
+        support = int_supports(gspec, 0)[0]
+        for n2 in range(1, 16):
+            for r2 in range(n2):
+                params = CoronaParams(n1=g.n, n2=n2, r1=regular_degree(g), r2=r2)
+                rest = [th for th in support if th != 2 * params.r1]
+                if all(n2 >= abs(th - params.s + params.t) + 1 for th in rest):
+                    assert len(rest) <= 1, (gspec, n2, r2)
+                    checked += 1
+    assert checked > 0
 
 
 def test_gap_refutation_passes_k3_c4():
-    params = CoronaParams(n1=3, n2=4, r1=2, r2=2)
-    fired, _, _ = support_gap_refutation(params, [4, 1])
-    assert not fired
+    # gap(top) = 6 = (n1 - 1)*gap(1): close-top-ratio does not fire, and
+    # every pair reaches the certifier
+    for u, v in ((0, 1), (0, 2), (1, 2)):
+        assert decide("K:3", "C:4", u, v).basis == "not-strongly-cospectral"
 
 
 # =========================================================================
@@ -199,44 +227,41 @@ def test_gap_refutation_passes_k3_c4():
 
 
 def test_k2_rule_n2_one():
-    v = k2_corona_no_pst(1, 0)
-    assert v.verdict == NO_PST
-    assert v.basis == "prime-order-rule"
-    assert v.provenance == "derived"
+    # n2 = 1 is in the prime-order rule's scope, but the size bound fails first
+    rep = decide("K:2", "K:1")
+    assert (rep.verdict, rep.basis) == (NO_PST, "size-bound")
 
 
 def test_k2_rule_odd_primes():
-    for n2, r2 in [(3, 0), (3, 2), (5, 0), (5, 2), (7, 0)]:
-        v = k2_corona_no_pst(n2, r2)
-        assert v.verdict == NO_PST
-        assert v.basis == "prime-order-rule"
+    for hspec in ("C:3", "C:5", "K:5", "C:7", "K:7"):
+        rep = decide("K:2", hspec)
+        assert (rep.verdict, rep.basis) == (NO_PST, "prime-order-rule")
+        assert rep.refutation_witness["provenance"] == "derived"
 
 
 def test_k2_rule_even():
-    for n2, r2 in [(2, 0), (2, 1), (4, 0), (6, 3)]:
-        v = k2_corona_no_pst(n2, r2)
-        assert v.verdict == NO_PST
-        assert v.basis == "even-order-rule"
-        assert v.provenance == "external-literature"
+    for hspec in ("K:2", "C:4", "CP:3", "K:6"):
+        rep = decide("K:2", hspec)
+        assert (rep.verdict, rep.basis) == (NO_PST, "even-order-rule")
+        assert rep.refutation_witness == {"provenance": "external-literature", "witness": None}
 
 
 def test_k2_rule_odd_composite_undecided():
-    for n2 in (9, 15, 21):
-        v = k2_corona_no_pst(n2, 0)
-        assert v.verdict == "undecided"
+    # outside both K2 rules; close-top-ratio decides instead
+    for hspec in ("C:9", "C:15", "K:21"):
+        rep = decide("K:2", hspec)
+        assert (rep.verdict, rep.basis) == (NO_PST, "close-top-ratio")
 
 
 def test_k2_rule_witness_radicands():
-    # for n2 = 1, r2 = 0: x = 0, radicands 4 (square) and 8 (not)
-    v = k2_corona_no_pst(1, 0)
-    assert v.witness == 8
-
-
-def test_k2_rule_validation():
-    with pytest.raises(ValueError):
-        k2_corona_no_pst(0, 0)
-    with pytest.raises(ValueError):
-        k2_corona_no_pst(3, 3)
+    # the witness is the first non-square of the radicands at theta = 0 and
+    # at the top, x^2 + 4*n2 and (x+2)^2 + 4*n2 with x = n2 - 2*r2 - 1:
+    # K3 gives 16 and 12, C5 gives 20 and 36
+    for hspec, witness in (("C:3", 12), ("C:5", 20)):
+        rep = decide("K:2", hspec)
+        params = CoronaParams.from_graphs(generate("K:2"), generate(hspec))
+        assert rep.refutation_witness["witness"] == witness
+        assert witness in (pair_radicand(params, 0), top_radicand(params))
 
 
 # =========================================================================
@@ -395,6 +420,10 @@ def test_pgst_cocktail_fidelity_reevaluates():
 # =========================================================================
 
 
+def circulant(n: int, k: int):
+    return graph_from_edges(n, [(i, (i + j) % n) for i in range(n) for j in range(1, k + 1)])
+
+
 def test_orchestrator_c4_pendant_size_bound():
     g = cycle_graph(4)
     h = complete_graph(1)
@@ -434,14 +463,28 @@ def test_orchestrator_k2_coronas():
             (4, 1),
             {"vertex": 0, "rule": "non-square-pair-gap", "witness": (1, 33)},
         ),
+        (
+            "K:3",
+            "C8(1,2)",
+            "nonperiodic-endpoint",
+            (4, 1),
+            {"vertex": 0, "rule": "non-square-top-gap", "witness": (4, 228)},
+        ),
     ],
 )
 def test_orchestrator_refutation_exits(gspec, hspec, basis, support, witness):
-    # one case per refutation the orchestrator can return, in rule order
-    rep = corona_base_pst_check(generate(gspec), generate(hspec), 0, 1)
+    # one case per refutation the orchestrator can return, in rule order;
+    # C8(1,2) is the circulant joining each vertex to the two on either side
+    h = circulant(8, 2) if hspec == "C8(1,2)" else generate(hspec)
+    rep = corona_base_pst_check(generate(gspec), h, 0, 1)
     assert (rep.verdict, rep.basis) == (NO_PST, basis)
     assert rep.support == tuple(QuadExt.from_int(k) for k in support)
     assert rep.refutation_witness == witness
+
+
+def test_every_public_name_resolves():
+    missing = [name for name in qwcorona.__all__ if not hasattr(qwcorona, name)]
+    assert missing == []
 
 
 def test_orchestrator_k3_c4_reaches_certifier():
