@@ -275,35 +275,39 @@ def _certify_support(u, v, supported) -> PSTReport:
 
 
 def _phase_terms(gdec, params, rows, u, v) -> list:
-    """The terms of `_amplitude_terms` on G's pair rows as exact phase terms.
+    """The terms of `_amplitude_terms` on G's pair rows as exact phase rows.
 
-    A term (weight, p, q, d, sign) is weight * exp(-i*tau*mu) with
-    mu = (p + sign*sqrt(d))/q held exactly.  An integral base eigenvalue
-    gives the exact pair member (d its pair radicand, q = 2); any other
-    gives the binary fraction of its float value (d = 0, sign = 0).  Both
-    go through the same integer arithmetic in `_turns`.
+    A row (w_plus, w_minus, p, q, d) is the sum of w*exp(-i*tau*mu) over
+    its members mu = (p +/- sqrt(d))/q, held exactly.  An integral base
+    eigenvalue gives one row per pair (d its pair radicand, q = 2); the
+    scan reads its minus member as the conjugate of the plus member, off by
+    at most 2k units of 2^-64 turns at table entry k like the plus member,
+    since 2*step*p/q is an integer.  Any other eigenvalue gives one row per
+    member, the binary fraction of its float value (d = 0, w_minus = 0).
     """
-    terms = []
-    for weight, a, d, sign in _amplitude_terms(gdec, params, rows, u, v):
+    terms = _amplitude_terms(gdec, params, rows, u, v)
+    phase_rows = []
+    for (w_plus, a, d, _), (w_minus, *_) in zip(terms[::2], terms[1::2]):
         if isinstance(d, int):
-            terms.append((weight, a, 2, d, sign))
+            phase_rows.append((w_plus, w_minus, a, 2, d))
         else:
-            terms.append((weight, *((a + sign * math.sqrt(d)) / 2.0).as_integer_ratio(), 0, 0))
-    return terms
+            for weight, sign in ((w_plus, 1), (w_minus, -1)):
+                ratio = ((a + sign * math.sqrt(d)) / 2.0).as_integer_ratio()
+                phase_rows.append((weight, 0.0, *ratio, 0))
+    return phase_rows
 
 
-def _turns(term, n: int, m: int) -> int:
-    """frac((n/m)*mu) in units of 2^-64, within two units, for n >= 0 and
-    m >= 1 coprime."""
-    _, p, q, d, sign = term
-    root = math.isqrt(n * n * d << 2 * _TURN_BITS)
-    return (((n * p) << _TURN_BITS) + sign * root) // (m * q) % _TURN
+def _turn_pair(row, n: int, m: int) -> tuple:
+    """frac((n/m)*mu) in units of 2^-64 for the row's plus and minus member,
+    each within two units, for n >= 0 and m >= 1 coprime."""
+    _, _, p, q, d = row
+    top, root = (n * p) << _TURN_BITS, math.isqrt(n * n * d << 2 * _TURN_BITS)
+    return (top + root) // (m * q) % _TURN, (top - root) // (m * q) % _TURN
 
 
-def _unit_phases(turns) -> np.ndarray:
-    """exp(-2*pi*i*k/2^64) for 64-bit turn counts k, taken as signed."""
-    signed = np.asarray(turns, dtype=np.uint64).view(np.int64)
-    return np.exp(-1j * (signed * (2 * math.pi / _TURN)))
+def _angles(turns) -> np.ndarray:
+    """2*pi*k/2^64 for 64-bit turn counts k, taken as signed."""
+    return np.asarray(turns, dtype=np.uint64).view(np.int64) * (2 * math.pi / _TURN)
 
 
 def _check_search_args(epsilon, l_start, l_bound, g=1) -> None:
@@ -317,32 +321,40 @@ def _check_search_args(epsilon, l_start, l_bound, g=1) -> None:
         raise ValueError(f"g must be a positive integer, got {g}")
 
 
-def _exact_phase_scan(terms, grid, u, v, epsilon, l_start, l_bound, basis) -> PGSTSearchResult:
+def _exact_phase_scan(rows, grid, u, v, epsilon, l_start, l_bound, basis) -> PGSTSearchResult:
     """The PGST scan over T_l = 2*pi*(step*l + b/c), l in [l_start, l_bound],
     for the grid (step, b, c) with b/c reduced.
 
-    The table W[j, k] = exp(-2*pi*i*frac(k*step*mu_j)), k < SCAN_CHUNK, is
-    built once from 64-bit turns wrapping mod 2^64, so entry k is off by
-    at most 2k units of 2^-64 turns.  Each chunk from lo on then takes one
-    exact integer phase frac((step*lo*c + b)/c * mu_j) per term, whose
-    fraction is reduced since gcd(step*lo*c + b, c) = gcd(b, c) = 1, and
-    one vector-matrix product, and no error carries over from chunk to
-    chunk.  Stops at the first l whose fidelity reaches 1 - epsilon;
-    otherwise reports the global maximum with ties resolved to the smaller
-    l.  The reported time is the float (2*step*l + 2*b/c)*pi.
+    The table [cos; sin](2*pi*frac(k*step*mu_plus)), k < SCAN_CHUNK, one
+    row pair per `_phase_terms` row, is built once from 64-bit turns
+    wrapping mod 2^64.  The minus member reads it as the conjugate, since
+    its turns per step are the integer 2*step*p/q minus the plus member's,
+    so entry k is off by at most 2k units of 2^-64 turns for both members.
+    Each chunk from lo on then takes one isqrt per row for the exact phases
+    frac((step*lo*c + b)/c * mu) of both members, whose fraction is reduced
+    since gcd(step*lo*c + b, c) = gcd(b, c) = 1, and one real product of
+    (alpha, beta) = (c_plus + c_minus, -i*(c_plus - c_minus)) with the
+    table, and no error carries over from chunk to chunk.  Stops at the
+    first l whose fidelity reaches 1 - epsilon; otherwise reports the
+    global maximum with ties resolved to the smaller l.  The reported time
+    is the float (2*step*l + 2*b/c)*pi.
     """
     step, b, c = grid
-    weights = np.array([term[0] for term in terms])
+    weights = np.array([row[:2] for row in rows]).T
     ks = np.arange(min(SCAN_CHUNK, l_bound - l_start + 1), dtype=np.uint64)
-    per_step = np.array([_turns(term, step, 1) for term in terms], dtype=np.uint64)
-    table = _unit_phases(per_step[:, None] * ks)
+    per_step = np.array([_turn_pair(row, step, 1)[0] for row in rows], dtype=np.uint64)
+    angles = _angles(per_step[:, None] * ks)
+    table = np.concatenate([np.cos(angles), np.sin(angles)])
+    fold = np.array([[1, 1], [-1j, 1j]])  # (alpha, beta) from (c_plus, c_minus)
     threshold = 1.0 - epsilon
     best_l, best_fid, achieved = l_start, -1.0, False
     for lo in range(l_start, l_bound + 1, SCAN_CHUNK):
-        coeffs = weights * _unit_phases([_turns(term, step * lo * c + b, c) for term in terms])
-        amps = coeffs @ table[:, : l_bound + 1 - lo]
-        fids = amps.real**2
-        fids += amps.imag**2
+        turns = [_turn_pair(row, step * lo * c + b, c) for row in rows]
+        coeffs = (fold @ (weights * np.exp(-1j * _angles(turns).T))).ravel()
+        amps = np.array([coeffs.real, coeffs.imag]) @ table[:, : l_bound + 1 - lo]
+        amps *= amps
+        fids = amps[0]
+        fids += amps[1]
         k = int(np.argmax(fids))
         if fids[k] >= threshold:
             k = int(np.argmax(fids >= threshold))

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import math
 import random
+import tracemalloc
 from dataclasses import replace
 
 import mpmath
@@ -31,6 +32,7 @@ from qwcorona.state_transfer import (
     PGSTSearchResult,
     _exact_phase_scan,
     _phase_terms,
+    _turn_pair,
     pgst_cocktail,
     pgst_scan,
     pgst_time_search,
@@ -51,37 +53,39 @@ def fidelity_at(gdec, params, u, v, l, g):
 
 # =========================================================================
 # the 15 benchmark searches at l_bound = 10^6, as the float-time scan
-# found them: (base, attachment order, epsilon, u, v, best_l, achieved, time)
+# found them: (base, attachment order, epsilon, u, v, best_l, achieved, time,
+# fidelity)
 # =========================================================================
 
 PINNED = (
-    ("K:2", 5, 1e-4, 0, 1, 82, True, 1033.583983031042),
-    ("HQ:4", 2, 1e-2, 0, 15, 268699, True, 3376574.359300349),
-    ("CP:2", 4, 1e-4, 0, 1, 256361, False, 3221530.4786603856),
-    ("CP:2", 6, 1e-4, 0, 1, 24082, False, 302626.4787276512),
-    ("CP:4", 1, 1e-4, 0, 1, 732274, False, 9202029.616851902),
-    ("CP:4", 8, 1e-4, 0, 1, 672431, True, 8450020.300176807),
-    ("CP:6", 1, 1e-4, 0, 1, 783719, True, 9848506.55310761),
-    ("CP:6", 2, 1e-4, 0, 1, 770961, True, 9688184.796809616),
-    ("CP:6", 4, 1e-4, 0, 1, 548974, True, 6898613.883239866),
-    ("CP:8", 3, 1e-4, 0, 1, 410784, True, 5162067.128041572),
-    ("HQ:3", 3, 1e-4, 0, 7, 847454, False, 10649424.184213791),
-    ("HQ:3", 6, 1e-3, 0, 7, 548146, True, 6888208.928371176),
-    ("HQ:4", 7, 1e-3, 0, 15, 335150, True, 4211622.252995131),
-    ("cocktail", 5, 1e-4, 0, 1, 990694, False, 6224713.984710973),
-    ("cocktail", 9, 1e-4, 0, 1, 808791, False, 5081783.727779085),
+    ("K:2", 5, 1e-4, 0, 1, 82, True, 1033.583983031042, 0.999906640988907),
+    ("HQ:4", 2, 1e-2, 0, 15, 268699, True, 3376574.359300349, 0.9901287544722635),
+    ("CP:2", 4, 1e-4, 0, 1, 256361, False, 3221530.4786603856, 0.9997425961010598),
+    ("CP:2", 6, 1e-4, 0, 1, 24082, False, 302626.4787276512, 0.9998731138372389),
+    ("CP:4", 1, 1e-4, 0, 1, 732274, False, 9202029.616851902, 0.9998449676879338),
+    ("CP:4", 8, 1e-4, 0, 1, 672431, True, 8450020.300176807, 0.9999297669089536),
+    ("CP:6", 1, 1e-4, 0, 1, 783719, True, 9848506.55310761, 0.9999747699356256),
+    ("CP:6", 2, 1e-4, 0, 1, 770961, True, 9688184.796809616, 0.9999502234141422),
+    ("CP:6", 4, 1e-4, 0, 1, 548974, True, 6898613.883239866, 0.9999377058274731),
+    ("CP:8", 3, 1e-4, 0, 1, 410784, True, 5162067.128041572, 0.9999993714826265),
+    ("HQ:3", 3, 1e-4, 0, 7, 847454, False, 10649424.184213791, 0.9984154223162462),
+    ("HQ:3", 6, 1e-3, 0, 7, 548146, True, 6888208.928371176, 0.9992451169178875),
+    ("HQ:4", 7, 1e-3, 0, 15, 335150, True, 4211622.252995131, 0.9996291020004666),
+    ("cocktail", 5, 1e-4, 0, 1, 990694, False, 6224713.984710973, 0.9998701725334691),
+    ("cocktail", 9, 1e-4, 0, 1, 808791, False, 5081783.727779085, 0.9998711651852733),
 )
 
 
 @pytest.mark.parametrize("case", PINNED, ids=lambda c: f"{c[0]}~{c[1]}")
 def test_pinned_searches_unchanged(case):
-    base, n2, eps, u, v, best_l, achieved, time = case
+    base, n2, eps, u, v, best_l, achieved, time, fidelity = case
     if base == "cocktail":
         res = pgst_cocktail(n2, eps, 10**6)
     else:
         _, _, gdec, params = corona_of(base, f"empty:{n2}")
         res = pgst_time_search(gdec, params, u, v, eps, 10**6)
     assert (res.best_l, res.achieved, res.time) == (best_l, achieved, time)
+    assert res.fidelity == pytest.approx(fidelity, abs=1e-14)
 
 
 # =========================================================================
@@ -107,24 +111,39 @@ def test_fidelity_matches_mpmath_at_exact_grid_times(base, att, u, v):
             assert abs(fid - float(abs(amp) ** 2)) <= 1e-12, l
 
 
+SINGLE_TIMES = tuple((l, l) for l in [*range(40), 997, 4096, 8191, 8192, 8193])
+
+
 @pytest.mark.parametrize(
-    "base,att,u,v,g",
+    "base,att,u,v,grid,windows",
     [
-        ("CP:4", "empty:1", 0, 1, 2),
-        ("K:2", "K:2", 0, 1, 1),
-        ("HQ:3", "K:1", 0, 7, 2),
+        pytest.param("CP:4", "empty:1", 0, 1, (2, 1, 2), SINGLE_TIMES, id="CP:4-empty:1-0-1-2"),
+        pytest.param("K:2", "K:2", 0, 1, (2, 1, 1), SINGLE_TIMES, id="K:2-K:2-0-1-1"),
+        pytest.param("HQ:3", "K:1", 0, 7, (2, 1, 2), SINGLE_TIMES, id="HQ:3-K:1-0-7-2"),
         # non-integral base: what the CLI's heuristic fallback scans
-        ("C:5", "K:1", 0, 1, 1),
-        ("C:5", "K:1", 0, 2, 1),
-        ("C:7", "empty:2", 0, 3, 1),
+        pytest.param("C:5", "K:1", 0, 1, (2, 1, 1), SINGLE_TIMES, id="C:5-K:1-0-1-1"),
+        pytest.param("C:5", "K:1", 0, 2, (2, 1, 1), SINGLE_TIMES, id="C:5-K:1-0-2-1"),
+        pytest.param("C:7", "empty:2", 0, 3, (2, 1, 1), SINGLE_TIMES, id="C:7-empty:2-0-3-1"),
+        # the cocktail grid T_l = 2*pi*l, where step * p / q is odd
+        pytest.param("CP:3", "K:1", 0, 1, (1, 0, 1), SINGLE_TIMES + ((1, 300),),
+                     id="CP:3-K:1-0-1-cocktail-grid"),
+        # windows across l = 8192 and across a chunk restart, reading table
+        # entries k > 0 on a base with integral and float rows
+        pytest.param("C:5", "K:1", 0, 1, (2, 1, 1), ((8000, 8400), (100, 8400), (8191, 8193)),
+                     id="C:5-K:1-0-1-windows"),
     ],
 )
-def test_scan_matches_transition_element(base, att, u, v, g):
+def test_scan_matches_transition_element(base, att, u, v, grid, windows):
+    step, b, c = grid
     _, _, gdec, params = corona_of(base, att)
-    for l in list(range(0, 40)) + [997, 4096, 8191, 8192, 8193]:
-        time, fid = fidelity_at(gdec, params, u, v, l, g)
-        amp = corona_transition_element(gdec, params, u, v, time)
-        assert fid == pytest.approx(abs(amp) ** 2, abs=1e-10), l
+    rows = _phase_terms(gdec, params, _pair_rows(gdec, params), u, v)
+    for lo, hi in windows:
+        times = [(2.0 * step * l + 2.0 * b / c) * math.pi for l in range(lo, hi + 1)]
+        oracle = np.abs(corona_transition_element(gdec, params, u, v, np.array(times))) ** 2
+        res = _exact_phase_scan(rows, grid, u, v, 1e-300, lo, hi, "heuristic-search")
+        assert res.best_l == lo + int(np.argmax(oracle)), (lo, hi)
+        assert res.time == times[res.best_l - lo]
+        assert res.fidelity == pytest.approx(oracle.max(), abs=1e-10), (lo, hi)
 
 
 def test_scan_keeps_the_first_hit_and_the_smaller_l_on_ties():
@@ -202,6 +221,66 @@ def test_cocktail_grid_times_equal_the_closed_expression():
     for l in _grid_ls(0):
         res = _exact_phase_scan(terms, (1, 0, 1), 0, 1, 1e-300, l, l, "distinct-surd-parts")
         assert res.time.hex() == (2.0 * math.pi * l).hex(), l
+
+
+def _reference_turns(p, q, d, sign, n, m):
+    """One member's exact turns by the per-member formula, the reference for `_turn_pair`."""
+    root = math.isqrt(n * n * d << 128)
+    return (((n * p) << 64) + sign * root) // (m * q) % (1 << 64)
+
+
+def _assert_turn_pairs_match_reference(rows, n, m):
+    for row in rows:
+        _, _, p, q, d = row
+        plus, minus = _turn_pair(row, n, m)
+        assert plus == _reference_turns(p, q, d, 1, n, m), (row, n, m)
+        assert minus == _reference_turns(p, q, d, -1, n, m), (row, n, m)
+
+
+@pytest.mark.parametrize("g", range(1, 9))
+def test_turn_pairs_equal_the_per_member_formula(g):
+    # pgst_scan's grid (4l + 2/g)*pi: the table's step n = 2, m = 1, and each
+    # chunk's n = 2*g*l + 1, m = g
+    _, _, gdec, params = corona_of("CP:4", "empty:1")
+    rows = _phase_terms(gdec, params, _pair_rows(gdec, params), 0, 1)
+    assert all(q == 2 and d > 0 for *_, q, d in rows)
+    _assert_turn_pairs_match_reference(rows, 2, 1)
+    for l in _grid_ls(g):
+        _assert_turn_pairs_match_reference(rows, 2 * g * l + 1, g)
+
+
+def test_cocktail_turn_pairs_equal_the_per_member_formula():
+    _, _, gdec, params = corona_of("CP:3", "K:1")
+    rows = _phase_terms(gdec, params, _pair_rows(gdec, params), 0, 1)
+    # step * p / q is odd on this grid, never on pgst_scan's step-2 grid
+    assert any(p // q % 2 for _, _, p, q, _ in rows)
+    for l in _grid_ls(0):
+        _assert_turn_pairs_match_reference(rows, l, 1)
+
+
+def test_float_rows_carry_one_member_each():
+    _, _, gdec, params = corona_of("C:5", "K:1")
+    rows = _phase_terms(gdec, params, _pair_rows(gdec, params), 0, 1)
+    floats = [row for row in rows if row[4] == 0]
+    assert len(rows) - len(floats) == 1  # the top pair
+    assert len(floats) == 2 * (len(gdec.eigenvalues) - 1)
+    assert all(row[1] == 0.0 for row in floats)
+    for l in _grid_ls(1):
+        _assert_turn_pairs_match_reference(rows, 2 * l + 1, 1)
+
+
+def test_full_scan_memory_stays_below_two_mib():
+    # the table holds one cos and one sin row per pair, 2 * 5 * 8192 floats
+    _, _, gdec, params = corona_of("HQ:4", "empty:7")
+    pgst_scan(gdec, params, 0, 15, 1e-300, 10, 2)
+    tracemalloc.start()
+    try:
+        res = pgst_scan(gdec, params, 0, 15, 1e-300, 10**6, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert not res.achieved
+    assert peak < 2 * 2**20, peak
 
 
 def test_cocktail_grid_matches_transition_element():
