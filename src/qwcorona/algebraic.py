@@ -106,15 +106,6 @@ class QuadExt:
     def from_int(cls, k: int) -> QuadExt:
         return cls(2 * operator.index(k), 0, 1)
 
-    @property
-    def is_integer(self) -> bool:
-        return self.b == 0 and self.a % 2 == 0
-
-    def as_integer(self) -> int:
-        if not self.is_integer:
-            raise ValueError(f"{self} is not an integer")
-        return self.a // 2
-
     def value(self) -> float:
         if self.b == 0:
             return self.a / 2.0
@@ -125,64 +116,6 @@ class QuadExt:
 
     def conjugate(self) -> QuadExt:
         return QuadExt(self.a, -self.b, self.delta)
-
-    def _coerced(self, other: object) -> QuadExt | None:
-        if isinstance(other, QuadExt):
-            return other
-        try:
-            return QuadExt.from_int(operator.index(other))
-        except TypeError:
-            return None
-
-    def _common_delta(self, other: QuadExt) -> int:
-        if self.b == 0:
-            return other.delta
-        if other.b == 0 or other.delta == self.delta:
-            return self.delta
-        raise ValueError(
-            f"mixed radicals: delta {self.delta} vs {other.delta}"
-        )
-
-    def __add__(self, other: object) -> QuadExt:
-        o = self._coerced(other)
-        if o is None:
-            return NotImplemented
-        delta = self._common_delta(o)
-        return QuadExt(self.a + o.a, self.b + o.b, delta)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> QuadExt:
-        return QuadExt(-self.a, -self.b, self.delta)
-
-    def __sub__(self, other: object) -> QuadExt:
-        o = self._coerced(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other: object) -> QuadExt:
-        o = self._coerced(other)
-        if o is None:
-            return NotImplemented
-        return o + (-self)
-
-    def __mul__(self, other: object) -> QuadExt:
-        o = self._coerced(other)
-        if o is None:
-            return NotImplemented
-        delta = self._common_delta(o)
-        # (a1 + b1*r)(a2 + b2*r)/4 with r = sqrt(delta); result must land
-        # back on the half-integer lattice (A + B*r)/2
-        two_a = self.a * o.a + self.b * o.b * delta
-        two_b = self.a * o.b + self.b * o.a
-        if two_a % 2 or two_b % 2:
-            raise ValueError(
-                f"product of {self} and {o} leaves the half-integer lattice"
-            )
-        return QuadExt(two_a // 2, two_b // 2, delta)
-
-    __rmul__ = __mul__
 
     def __str__(self) -> str:
         if self.b == 0:

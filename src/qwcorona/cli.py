@@ -34,11 +34,9 @@ from .spectra import decompose, fidelity_scan, transition_amplitude
 from .state_transfer import (
     DEFAULT_EPSILON,
     DEFAULT_L_BOUND,
-    PST,
     UNDECIDED,
     corona_base_pst_check,
     pgst_cocktail,
-    pgst_scan,
     pgst_time_search,
     pst_certify,
 )
@@ -351,7 +349,6 @@ def cmd_check_pst(args, cfg: RunConfig) -> tuple:
 
 def cmd_search_pgst(args, cfg: RunConfig) -> tuple:
     spec = parse_spec(args.spec, args.file)
-    note = None
     if spec.cocktail_m is not None:
         given = [parse_address(a, spec) for a in (args.u, args.v) if a is not None]
         if given and given != [0, 1]:
@@ -369,19 +366,12 @@ def cmd_search_pgst(args, cfg: RunConfig) -> tuple:
         v = _base_index(args.v, spec)
         params = CoronaParams.from_graphs(spec.g, spec.h)
         gdec = decompose(signless_laplacian(spec.g))
-        try:
-            result = pgst_time_search(gdec, params, u, v, cfg.epsilon, cfg.l_bound)
-            mode = "guaranteed"
-        except ValueError as err:
-            note = str(err)
-            base = pst_certify(gdec, u, v)
-            g_par = base.g if base.verdict == PST and base.g else 1
-            result = pgst_scan(gdec, params, u, v, cfg.epsilon, cfg.l_bound, g_par)
-            mode = "heuristic"
+        result = pgst_time_search(gdec, params, u, v, cfg.epsilon, cfg.l_bound)
+        mode = "guaranteed" if result.note is None else "heuristic"
     out = {"spec": spec.text, "mode": mode}
     out.update(vars(result))
-    if note is not None:
-        out["note"] = note
+    if result.note is None:
+        del out["note"]
     return render_json(out), 0
 
 

@@ -22,7 +22,10 @@ decomposition and `CoronaParams` alone, and every reader of pair data
 takes them from there: the base-pair certifier, which needs no
 eigenvalue of H, and `_amplitude_terms`, the one source of the amplitude
 between base vertices (u,0) and (v,0) for both
-`corona_transition_element` and the PGST scan.
+`corona_transition_element` and the PGST scan.  Nothing here forms the
+N x N corona: its dense signless Laplacian,
+`signless_laplacian(vertex_complemented_corona(g, h))`, is the oracle that
+the tests hold the closed form against.
 """
 from __future__ import annotations
 
@@ -33,13 +36,7 @@ from functools import cached_property
 import numpy as np
 
 from .algebraic import DEFAULT_RECOGNITION_TOL, InternalInvariantError, QuadExt, square_free_part
-from .graphs import (
-    Graph,
-    is_connected,
-    regular_degree,
-    signless_laplacian,
-    vertex_complemented_corona,
-)
+from .graphs import Graph, is_connected, regular_degree
 from .spectra import SpectralDecomposition, _phase_sum
 
 # a factor's top eigenvalue must lie this close to 2*r
@@ -87,7 +84,13 @@ class CoronaParams:
     def from_graphs(cls, g: Graph, h: Graph) -> CoronaParams:
         if not is_connected(g):
             raise ValueError("corona closed form needs a connected base graph")
-        return cls(n1=g.n, n2=h.n, r1=regular_degree(g), r2=regular_degree(h))
+        degrees = []
+        for factor, graph in (("base", g), ("attachment", h)):
+            try:
+                degrees.append(regular_degree(graph))
+            except ValueError as err:
+                raise ValueError(f"{factor} graph: {err}") from None
+        return cls(n1=g.n, n2=h.n, r1=degrees[0], r2=degrees[1])
 
 
 def pair_radicand(params: CoronaParams, theta: int) -> int:
@@ -302,8 +305,3 @@ def corona_transition_element(
     terms = _amplitude_terms(gdec, params, _pair_rows(gdec, params), u, v)
     freqs = [(a + sign * math.sqrt(d)) / 2 for _, a, d, sign in terms]
     return _phase_sum([term[0] for term in terms], freqs, taus)
-
-
-def corona_full_q(g: Graph, h: Graph) -> np.ndarray:
-    """Dense signless Laplacian of the corona, for arbitrary factors: the oracle."""
-    return signless_laplacian(vertex_complemented_corona(g, h))

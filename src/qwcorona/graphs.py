@@ -40,12 +40,6 @@ class Graph:
     def degrees(self) -> np.ndarray:
         return self.adjacency.sum(axis=1).astype(int)
 
-    def edge_count(self) -> int:
-        return int(self.adjacency.sum()) // 2
-
-    def neighbors(self, u: int) -> np.ndarray:
-        return np.nonzero(self.adjacency[u])[0]
-
 
 def regular_degree(g: Graph) -> int:
     """Common degree of a regular graph; names the offending vertex otherwise."""
@@ -91,14 +85,6 @@ def cycle_graph(n: int) -> Graph:
     i = np.arange(n)
     a[i, (i + 1) % n] = a[(i + 1) % n, i] = 1
     return Graph(a, name=f"C:{n}")
-
-
-def path_graph(n: int) -> Graph:
-    n = _positive(n, "path order")
-    a = np.zeros((n, n))
-    for i in range(n - 1):
-        a[i, i + 1] = a[i + 1, i] = 1
-    return Graph(a, name=f"P:{n}")
 
 
 def cocktail_party_graph(m: int) -> Graph:

@@ -14,8 +14,6 @@ from functools import cached_property
 
 import numpy as np
 
-from .graphs import Graph, signless_laplacian
-
 DEFAULT_CLUSTER_TOL = 1e-7
 DEFAULT_SUPPORT_TOL = 1e-8
 GAP_WARNING_FACTOR = 10.0
@@ -166,10 +164,6 @@ def decompose(q: np.ndarray) -> SpectralDecomposition:
         vectors=vecs,
         warnings=tuple(warnings),
     )
-
-
-def decompose_graph(g: Graph) -> SpectralDecomposition:
-    return decompose(signless_laplacian(g))
 
 
 def _phase_sum(weights, freqs, taus):

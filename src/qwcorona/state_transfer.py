@@ -89,7 +89,11 @@ class PSTReport:
 
 @dataclass(frozen=True)
 class PGSTSearchResult:
-    """Best time found by a bounded scan for near-perfect transfer."""
+    """Best time found by a bounded scan for near-perfect transfer.
+
+    `note` is the first unmet PGST condition of a `pgst_time_search` that
+    fell back to a heuristic scan, and None otherwise.
+    """
 
     u: int
     v: int
@@ -100,6 +104,7 @@ class PGSTSearchResult:
     best_l: object = None
     time: object = None
     fidelity: object = None
+    note: object = None
 
 
 # ---------------------------------------------------------------------------
@@ -409,45 +414,51 @@ def pgst_time_search(
     """Near-perfect transfer search between corona base vertices on the
     paper's sufficient conditions for PGST.
 
-    Preconditions: the attachment is edgeless; the base pair has certified
+    Conditions: the attachment is edgeless; the base pair has certified
     perfect transfer at pi/g with delta = 1; the top pair gap is an
     irrational surd.  For bases on three or more vertices every pair gap
     below the top must also be irrational; on the two-vertex base K2 the
-    rational gap n2 + 1 must be a multiple of g.  An unmet precondition
-    raises ValueError.  They guarantee that PGST exists along
-    T_l = (4l + 2/g)*pi, not that a scan up to `l_bound` reaches
-    1 - epsilon: the result is `pgst_scan`'s with basis
-    irrational-gap-search, and `achieved` false proves nothing.
+    rational gap n2 + 1 must be a multiple of g.  They guarantee that PGST
+    exists along T_l = (4l + 2/g)*pi, not that a scan up to `l_bound`
+    reaches 1 - epsilon: the result is `pgst_scan`'s with basis
+    irrational-gap-search, and `achieved` false proves nothing.  When a
+    condition fails, the result is `pgst_scan`'s as it stands, basis
+    heuristic-search, with g = 1 unless the base pair has PST and the first
+    unmet condition in `note`.  The base pair is certified once.
     """
     _check_search_args(epsilon, 0, l_bound)
-    if params.r2 != 0:
-        raise ValueError(
-            "the guaranteed search needs an edgeless attachment graph, "
-            f"got degree {params.r2}"
-        )
     base = pst_certify(gdec, u, v)
+    rows = _pair_rows(gdec, params)
+    note = _unmet_pgst_condition(params, base, rows)
+    g = base.g if base.verdict == PST else 1
+    scan = pgst_scan(gdec, params, u, v, epsilon, l_bound, g, rows=rows)
+    if note is None:
+        return replace(scan, basis="irrational-gap-search")
+    return replace(scan, note=note)
+
+
+def _unmet_pgst_condition(params: CoronaParams, base: PSTReport, rows) -> str | None:
+    """The first of `pgst_time_search`'s conditions that fails, as text; None when all hold."""
+    if params.r2 != 0:
+        return f"the guaranteed search needs an edgeless attachment graph, got degree {params.r2}"
     if base.verdict != PST:
-        raise ValueError(
+        return (
             f"the guaranteed search needs certified base transfer, got {base.verdict} "
             f"({base.basis})"
         )
     if base.delta != 1:
-        raise ValueError(
-            f"base transfer time must be a rational multiple of pi, got delta {base.delta}"
-        )
+        return f"base transfer time must be a rational multiple of pi, got delta {base.delta}"
     d_top = top_radicand(params)
-    root_r, sqfree_r = square_free_part(d_top)
-    if sqfree_r == 1:
-        raise ValueError(
-            f"the top pair gap sqrt({d_top}) = {root_r} is rational; the search "
+    if is_perfect_square(d_top):
+        return (
+            f"the top pair gap sqrt({d_top}) = {math.isqrt(d_top)} is rational; the search "
             "guarantee requires an irrational top gap"
         )
-    rows = _pair_rows(gdec, params)
     if params.n1 >= 3:
         # one row per base eigenvalue below the top
         for _, a, _, d, _, _ in rows[2::2]:
             if isinstance(d, int) and is_perfect_square(d):
-                raise ValueError(
+                return (
                     f"pair gap sqrt({d}) at base eigenvalue {a - params.s - params.t} is rational; "
                     "the search guarantee requires every pair gap of a base on "
                     f"{params.n1} >= 3 vertices to be irrational"
@@ -457,13 +468,11 @@ def pgst_time_search(
         # at every l only when g divides it
         gap = math.isqrt(pair_radicand(params, 0))
         if gap % base.g:
-            raise ValueError(
+            return (
                 f"pair gap {gap} at base eigenvalue 0 is not a multiple of g = {base.g}; "
                 "the search guarantee on a two-vertex base requires it"
             )
-
-    scan = pgst_scan(gdec, params, u, v, epsilon, l_bound, base.g, rows=rows)
-    return replace(scan, basis="irrational-gap-search")
+    return None
 
 
 def pgst_cocktail(

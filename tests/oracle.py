@@ -8,10 +8,34 @@ from __future__ import annotations
 import operator
 
 import numpy as np
+import sympy
 
 from qwcorona.corona_spectra import MATCH_TOL, CoronaParams, CoronaSpectrum, pair_radicand, top_radicand
-from qwcorona.graphs import Graph, _hop_distances, is_connected
-from qwcorona.spectra import DEFAULT_SUPPORT_TOL, SpectralDecomposition, decompose_graph
+from qwcorona.graphs import (
+    Graph,
+    _hop_distances,
+    is_connected,
+    signless_laplacian,
+    vertex_complemented_corona,
+)
+from qwcorona.spectra import DEFAULT_SUPPORT_TOL, SpectralDecomposition, decompose
+
+
+def corona_full_q(g: Graph, h: Graph) -> np.ndarray:
+    """Dense signless Laplacian of the corona, for arbitrary factors."""
+    return signless_laplacian(vertex_complemented_corona(g, h))
+
+
+def decompose_graph(g: Graph) -> SpectralDecomposition:
+    return decompose(signless_laplacian(g))
+
+
+def path_graph(n: int) -> Graph:
+    """The path P_n, vertices in order along it: an irregular, non-antipodal graph."""
+    a = np.zeros((n, n))
+    for i in range(n - 1):
+        a[i, i + 1] = a[i + 1, i] = 1
+    return Graph(a, name=f"P:{n}")
 
 
 def as_decomposition(spectrum: CoronaSpectrum):
@@ -131,6 +155,15 @@ def pair_identity_targets(params: CoronaParams, theta: int):
     """
     d = pair_radicand(params, theta)
     return -params.n2, params.n2 * d
+
+
+def pair_products(s: int, a_sum: int, radicand: int, c: int) -> tuple:
+    """Exact (x*y, (x^2 + c)*(y^2 + c)) for x, y = s - (a_sum +/- sqrt(radicand))/2,
+    the left-hand sides of the pair and top identities, in sympy arithmetic."""
+    root = sympy.sqrt(radicand)
+    x = s - (a_sum + root) / 2
+    y = s - (a_sum - root) / 2
+    return sympy.expand(x * y), sympy.expand((x * x + c) * (y * y + c))
 
 
 def top_identity_targets(params: CoronaParams):

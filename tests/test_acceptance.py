@@ -15,7 +15,6 @@ from scipy.linalg import expm
 from qwcorona.algebraic import QuadExt, classify_support, is_perfect_square, square_free_part
 from qwcorona.corona_spectra import (
     CoronaParams,
-    corona_full_q,
     corona_spectrum,
     corona_transition_element,
     pair_radicand,
@@ -27,7 +26,6 @@ from qwcorona.graphs import (
     generate,
     halved_cube_graph,
     hypercube_graph,
-    path_graph,
     signless_laplacian,
 )
 from qwcorona.spectra import (
@@ -49,7 +47,10 @@ from qwcorona.state_transfer import (
 from oracle import (
     antipodal_identity_check,
     as_decomposition,
+    corona_full_q,
     pair_identity_targets,
+    pair_products,
+    path_graph,
     top_identity_targets,
 )
 
@@ -72,11 +73,6 @@ def build(gspec, hspec):
     gdec = decompose(signless_laplacian(g))
     hdec = decompose(signless_laplacian(h))
     return g, h, params, gdec, hdec
-
-
-def exact_root(a_sum: int, radicand: int, sign: int) -> QuadExt:
-    root, delta = square_free_part(radicand)
-    return QuadExt(a_sum, sign * root, delta)
 
 
 def test_criterion_01_closed_form_matches_oracle():
@@ -265,31 +261,15 @@ def test_criterion_11_exact_identities_and_divisibility():
         if gspec == "C:5":
             continue
         _, _, params, gdec, _ = build(gspec, hspec)
-        s_exact = QuadExt.from_int(params.s)
-        n2 = QuadExt.from_int(params.n2)
-
         for theta_f in gdec.eigenvalues:
             theta = round(theta_f)
             d = pair_radicand(params, theta)
-            first, second = pair_identity_targets(params, theta)
-            vp = exact_root(theta + params.s + params.t, d, +1)
-            vm = exact_root(theta + params.s + params.t, d, -1)
-            assert (s_exact - vp) * (s_exact - vm) == QuadExt.from_int(first)
-            lhs = ((s_exact - vp) * (s_exact - vp) + n2) * (
-                (s_exact - vm) * (s_exact - vm) + n2
-            )
-            assert lhs == QuadExt.from_int(second)
+            got = pair_products(params.s, theta + params.s + params.t, d, params.n2)
+            assert got == pair_identity_targets(params, theta)
 
-        d_r = top_radicand(params)
-        first, second = top_identity_targets(params)
-        c = QuadExt.from_int(params.n2 * (1 - params.n1) ** 2)
-        vp = exact_root(2 * params.r1 + params.s + params.t, d_r, +1)
-        vm = exact_root(2 * params.r1 + params.s + params.t, d_r, -1)
-        assert (s_exact - vp) * (s_exact - vm) == QuadExt.from_int(first)
-        lhs = ((s_exact - vp) * (s_exact - vp) + c) * (
-            (s_exact - vm) * (s_exact - vm) + c
-        )
-        assert lhs == QuadExt.from_int(second)
+        c = params.n2 * (1 - params.n1) ** 2
+        got = pair_products(params.s, 2 * params.r1 + params.s + params.t, top_radicand(params), c)
+        assert got == top_identity_targets(params)
 
     # s = 2*r1 + t holds on connected bases only for K2 with
     # r2 = (n2 + 1)/2; a rule refutes every such base vertex, so no

@@ -420,11 +420,13 @@ def test_corona_spectrum_csv(capsys):
 
 
 def test_corona_spectrum_rejects_irregular(capsys):
-    # corona(K:2,K:1) is the path 2-0-1-3, degrees 2, 2, 1, 1, as either factor
-    for factors in (["corona(K:2,K:1)", "K:1"], ["K:3", "corona(K:2,K:1)"]):
+    # corona(K:2,K:1) is the path 2-0-1-3, degrees 2, 2, 1, 1, as either
+    # factor; the message names the factor
+    cases = ((["corona(K:2,K:1)", "K:1"], "base"), (["K:3", "corona(K:2,K:1)"], "attachment"))
+    for factors, factor in cases:
         code, out, err = run(capsys, ["corona-spectrum", *factors])
         assert (code, out) == (2, ""), factors
-        assert err == "error: regularity violation at vertex 2: degree 1 != 2\n"
+        assert err == f"error: {factor} graph: regularity violation at vertex 2: degree 1 != 2\n"
 
 
 def test_check_pst_positive(capsys):
@@ -744,7 +746,7 @@ def test_decisions_build_no_dense_projector(monkeypatch, capsys):
         qwcorona.corona_base_pst_check(gen(base), gen(att), u, v)
     g = gen("CP:2")
     params = qwcorona.CoronaParams.from_graphs(g, gen("empty:3"))
-    gdec = qwcorona.decompose_graph(g)
+    gdec = qwcorona.decompose(qwcorona.signless_laplacian(g))
     assert qwcorona.pgst_time_search(gdec, params, 0, 1, 1e-2, 1000).basis == "irrational-gap-search"
     for argv in (
         ["check-pst", "corona(C:6,K:2)", "copy:0:0", "copy:3:0"],

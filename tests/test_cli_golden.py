@@ -3,8 +3,8 @@
 Each case in cli_golden.json runs `cli.main` in process with the listed
 argv and QWC_* environment and must reproduce the recorded bytes.  The
 cases cover every subcommand, JSON and CSV output, base:/copy: addresses,
-the guaranteed, heuristic and cocktail PGST searches, and the exits 2
-and 3.  Floats are rendered to 12 significant digits, so values at
+the guaranteed, heuristic and cocktail PGST searches (a heuristic one for
+each unmet condition a named family reaches), and the exits 2 and 3.  Floats are rendered to 12 significant digits, so values at
 rounding-noise level (max_deviation, near-zero fidelities) pin the
 LAPACK build as well.
 

@@ -19,7 +19,6 @@ from qwcorona import (
     InternalInvariantError,
     QuadExt,
     corona_base_pst_check,
-    corona_full_q,
     corona_pst_certify,
     corona_spectrum,
     decompose,
@@ -32,6 +31,7 @@ from qwcorona.algebraic import square_free_part
 from qwcorona.corona_spectra import _row_keys
 from qwcorona.spectra import DEFAULT_SUPPORT_TOL, strong_cospectrality
 from qwcorona.state_transfer import NO_PST, UNDECIDED
+from oracle import corona_full_q
 
 MAX_N = 480
 

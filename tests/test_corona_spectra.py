@@ -15,16 +15,22 @@ from qwcorona.corona_spectra import (
     TOP_MINUS,
     TOP_PLUS,
     CoronaParams,
-    corona_full_q,
     corona_spectrum,
     corona_transition_element,
     pair_radicand,
     top_radicand,
 )
-from qwcorona.graphs import generate, path_graph, signless_laplacian, vertex_complemented_corona
+from qwcorona.graphs import generate, signless_laplacian, vertex_complemented_corona
 from qwcorona.spectra import decompose
 
-from oracle import as_decomposition, pair_identity_targets, top_identity_targets
+from oracle import (
+    as_decomposition,
+    corona_full_q,
+    pair_identity_targets,
+    pair_products,
+    path_graph,
+    top_identity_targets,
+)
 
 PAIRS = [
     ("K:2", "K:1"),
@@ -252,13 +258,6 @@ def test_transition_element_refuses_non_finite_times():
 # =========================================================================
 
 
-def exact_pair(a_sum: int, radicand: int):
-    from qwcorona.algebraic import square_free_part
-
-    root, delta = square_free_part(radicand)
-    return QuadExt(a_sum, root, delta), QuadExt(a_sum, -root, delta)
-
-
 def test_pair_product_identities_exact():
     # (s - v+)(s - v-) = -n2 and ((s - v+)^2 + n2)((s - v-)^2 + n2) = n2*D,
     # in exact arithmetic, for every integral eigenvalue of every base
@@ -266,18 +265,11 @@ def test_pair_product_identities_exact():
         if gspec == "C:5":
             continue  # irrational base spectrum
         _, _, params, gdec, hdec = build(gspec, hspec)
-        s = params.s
         for theta_f in gdec.eigenvalues:
             theta = int(round(float(theta_f)))
             d = pair_radicand(params, theta)
-            plus, minus = exact_pair(theta + params.s + params.t, d)
-            lo, hi = pair_identity_targets(params, theta)
-            sp = QuadExt.from_int(s) - plus
-            sm = QuadExt.from_int(s) - minus
-            assert (sp * sm) == QuadExt.from_int(lo)
-            n2 = QuadExt.from_int(params.n2)
-            prod = (sp * sp + n2) * (sm * sm + n2)
-            assert prod == QuadExt.from_int(hi)
+            got = pair_products(params.s, theta + params.s + params.t, d, params.n2)
+            assert got == pair_identity_targets(params, theta)
 
 
 def test_top_product_identities_exact():
@@ -285,16 +277,10 @@ def test_top_product_identities_exact():
         if gspec == "C:5":
             continue
         _, _, params, gdec, hdec = build(gspec, hspec)
-        s = params.s
         d = top_radicand(params)
-        plus, minus = exact_pair(2 * params.r1 + params.s + params.t, d)
-        lo, hi = top_identity_targets(params)
-        sp = QuadExt.from_int(s) - plus
-        sm = QuadExt.from_int(s) - minus
-        assert (sp * sm) == QuadExt.from_int(lo)
-        c = QuadExt.from_int(params.n2 * (1 - params.n1) ** 2)
-        prod = (sp * sp + c) * (sm * sm + c)
-        assert prod == QuadExt.from_int(hi)
+        c = params.n2 * (1 - params.n1) ** 2
+        got = pair_products(params.s, 2 * params.r1 + params.s + params.t, d, c)
+        assert got == top_identity_targets(params)
 
 
 # =========================================================================

@@ -16,7 +16,6 @@ from qwcorona import cli
 from qwcorona.corona_spectra import (
     CoronaParams,
     _pair_rows,
-    corona_full_q,
     corona_transition_element,
 )
 from qwcorona.graphs import generate, signless_laplacian
@@ -38,6 +37,7 @@ from qwcorona.state_transfer import (
     pgst_time_search,
     pst_certify,
 )
+from oracle import corona_full_q
 
 
 def corona_of(base: str, att: str):
@@ -301,8 +301,14 @@ def test_cocktail_grid_matches_transition_element():
 
 def test_k2_even_attachment_is_not_guaranteed():
     _, _, gdec, params = corona_of("K:2", "empty:2")
-    with pytest.raises(ValueError, match="not a multiple of g = 2"):
-        pgst_time_search(gdec, params, 0, 1, 1e-2, 100)
+    res = pgst_time_search(gdec, params, 0, 1, 1e-2, 100)
+    scan = pgst_scan(gdec, params, 0, 1, 1e-2, 100, 2)
+    assert (res.basis, res.note) == (
+        "heuristic-search",
+        "pair gap 3 at base eigenvalue 0 is not a multiple of g = 2; "
+        "the search guarantee on a two-vertex base requires it",
+    )
+    assert (res.best_l, res.time, res.fidelity) == (scan.best_l, scan.time, scan.fidelity)
 
 
 def test_k2_odd_attachment_stays_guaranteed():
@@ -310,6 +316,27 @@ def test_k2_odd_attachment_stays_guaranteed():
     res = pgst_time_search(gdec, params, 0, 1, 1e-4, 10**6)
     assert res.basis == "irrational-gap-search"
     assert (res.best_l, res.achieved) == (82, True)
+
+
+@pytest.mark.parametrize("argv", [
+    ["corona(K:2,K:2)", "0", "1"],
+    ["corona(K:3,empty:1)", "0", "1"],
+    ["corona(C:4,empty:2)", "0", "2"],
+    ["corona(C:4,empty:1)", "0", "2"],
+    ["corona(K:2,empty:2)", "0", "1"],
+    ["corona(CP:4,empty:1)", "0", "1"],
+])
+def test_cli_search_certifies_the_base_pair_once(argv, monkeypatch, capsys):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return pst_certify(*args)
+
+    monkeypatch.setattr(st, "pst_certify", counted)
+    monkeypatch.setattr(cli, "pst_certify", counted)
+    assert cli.main(["search-pgst", *argv, "--l-bound", "100"]) == 0
+    assert len(calls) == 1
 
 
 def test_cli_k2_even_attachment_falls_back(capsys):

@@ -11,19 +11,16 @@ from scipy.linalg import expm
 
 from qwcorona import spectra
 from qwcorona.cli import parse_spec
-from qwcorona.corona_spectra import corona_full_q
 from qwcorona.graphs import (
     cocktail_party_graph,
     complete_graph,
     cycle_graph,
     generate,
     hypercube_graph,
-    path_graph,
     signless_laplacian,
 )
 from qwcorona.spectra import (
     decompose,
-    decompose_graph,
     eigenvalue_support,
     fidelity_scan,
     strong_cospectrality,
@@ -32,6 +29,9 @@ from qwcorona.spectra import (
 
 from oracle import (
     antipodal_identity_check,
+    corona_full_q,
+    decompose_graph,
+    path_graph,
     cospectrality_from_projectors,
     reconstruct,
     support_from_projectors,

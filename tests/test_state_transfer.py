@@ -11,7 +11,6 @@ import qwcorona
 from qwcorona.algebraic import QuadExt
 from qwcorona.corona_spectra import (
     CoronaParams,
-    corona_full_q,
     corona_transition_element,
     pair_radicand,
     top_radicand,
@@ -22,7 +21,6 @@ from qwcorona.graphs import (
     cycle_graph,
     generate,
     graph_from_edges,
-    path_graph,
     regular_degree,
     signless_laplacian,
 )
@@ -37,6 +35,7 @@ from qwcorona.state_transfer import (
     pgst_time_search,
     pst_certify,
 )
+from oracle import corona_full_q, path_graph
 
 
 def dec_of(spec: str):
@@ -326,23 +325,44 @@ def test_certified_endpoints_periodic_at_double_time():
 # =========================================================================
 
 
+def assert_heuristic_search(gdec, params, u, v, g, note):
+    """An unmet condition gives `pgst_scan`'s result at g, with the condition as its note."""
+    res = pgst_time_search(gdec, params, u, v, 1e-2, 3000)
+    scan = pgst_scan(gdec, params, u, v, 1e-2, 3000, g)
+    assert (res.basis, res.note) == ("heuristic-search", note)
+    assert (res.best_l, res.time, res.fidelity) == (scan.best_l, scan.time, scan.fidelity)
+
+
 def test_pgst_time_search_needs_edgeless_attachment():
     params = CoronaParams(n1=8, n2=2, r1=6, r2=1)
-    with pytest.raises(ValueError, match="edgeless"):
-        pgst_time_search(dec_of("CP:4"), params, 0, 1)
+    note = "the guaranteed search needs an edgeless attachment graph, got degree 1"
+    assert_heuristic_search(dec_of("CP:4"), params, 0, 1, 2, note)
 
 
 def test_pgst_time_search_needs_base_pst():
     params = CoronaParams(n1=6, n2=1, r1=4, r2=0)
-    with pytest.raises(ValueError, match="certified base transfer"):
-        pgst_time_search(dec_of("CP:3"), params, 0, 1)
+    note = "the guaranteed search needs certified base transfer, got no-PST (parity-mismatch)"
+    assert_heuristic_search(dec_of("CP:3"), params, 0, 1, 1, note)
 
 
 def test_pgst_time_search_rejects_rational_top_gap():
     # C4 base with two edgeless attachment vertices: top radicand 121 = 11^2
     params = CoronaParams(n1=4, n2=2, r1=2, r2=0)
-    with pytest.raises(ValueError, match="rational"):
-        pgst_time_search(dec_of("C:4"), params, 0, 2)
+    note = (
+        "the top pair gap sqrt(121) = 11 is rational; the search guarantee requires "
+        "an irrational top gap"
+    )
+    assert_heuristic_search(dec_of("C:4"), params, 0, 2, 2, note)
+
+
+def test_pgst_time_search_rejects_rational_gap_below_top():
+    # C4 base with one attachment vertex: theta = 0 gives the pair radicand 4
+    params = CoronaParams(n1=4, n2=1, r1=2, r2=0)
+    note = (
+        "pair gap sqrt(4) at base eigenvalue 0 is rational; the search guarantee requires "
+        "every pair gap of a base on 4 >= 3 vertices to be irrational"
+    )
+    assert_heuristic_search(dec_of("C:4"), params, 0, 2, 2, note)
 
 
 def test_pgst_time_search_achieves_on_cp4():
