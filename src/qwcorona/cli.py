@@ -364,6 +364,8 @@ def cmd_search_pgst(args, cfg: RunConfig) -> tuple:
             raise ValueError("search-pgst needs two base vertex indices")
         u = _base_index(args.u, spec)
         v = _base_index(args.v, spec)
+        if u == v:
+            raise ValueError("strong cospectrality needs two distinct vertices")
         params = CoronaParams.from_graphs(spec.g, spec.h)
         gdec = decompose(signless_laplacian(spec.g))
         result = pgst_time_search(gdec, params, u, v, cfg.epsilon, cfg.l_bound)

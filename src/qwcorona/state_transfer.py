@@ -58,7 +58,8 @@ UNDECIDED = "undecided-numeric"
 
 DEFAULT_EPSILON = 0.01
 DEFAULT_L_BOUND = 10**6
-SCAN_CHUNK = 8192
+_SCAN_OFFSETS = 256  # a scan chunk covers l = lo + k1*_SCAN_OFFSETS + k0, k1 < _SCAN_BLOCKS
+_SCAN_BLOCKS = 128
 # phases are carried as integer fractions of a turn, in units of 2^-64
 _TURN_BITS = 64
 _TURN = 1 << _TURN_BITS
@@ -285,10 +286,11 @@ def _phase_terms(gdec, params, rows, u, v) -> list:
     A row (w_plus, w_minus, p, q, d) is the sum of w*exp(-i*tau*mu) over
     its members mu = (p +/- sqrt(d))/q, held exactly.  An integral base
     eigenvalue gives one row per pair (d its pair radicand, q = 2); the
-    scan reads its minus member as the conjugate of the plus member, off by
-    at most 2k units of 2^-64 turns at table entry k like the plus member,
-    since 2*step*p/q is an integer.  Any other eigenvalue gives one row per
-    member, the binary fraction of its float value (d = 0, w_minus = 0).
+    scan reads its minus member's offset and block table entries as the
+    plus member's conjugates, off by at most 2k units of 2^-64 turns at
+    the k-th l of a chunk like the plus member, since 2*step*p/q is an
+    integer.  Any other eigenvalue gives one row per member, the binary
+    fraction of its float value (d = 0, w_minus = 0).
     """
     terms = _amplitude_terms(gdec, params, rows, u, v)
     phase_rows = []
@@ -315,6 +317,11 @@ def _angles(turns) -> np.ndarray:
     return np.asarray(turns, dtype=np.uint64).view(np.int64) * (2 * math.pi / _TURN)
 
 
+def _check_base_pair(params: CoronaParams, u: int, v: int) -> None:
+    if u == v or not (0 <= u < params.n1 and 0 <= v < params.n1):
+        raise ValueError(f"need two distinct base vertices below {params.n1}")
+
+
 def _check_search_args(epsilon, l_start, l_bound, g=1) -> None:
     if not 0 < epsilon <= 1:
         raise ValueError(f"epsilon must lie in (0, 1], got {epsilon}")
@@ -330,43 +337,55 @@ def _exact_phase_scan(rows, grid, u, v, epsilon, l_start, l_bound, basis) -> PGS
     """The PGST scan over T_l = 2*pi*(step*l + b/c), l in [l_start, l_bound],
     for the grid (step, b, c) with b/c reduced.
 
-    The table [cos; sin](2*pi*frac(k*step*mu_plus)), k < SCAN_CHUNK, one
-    row pair per `_phase_terms` row, is built once from 64-bit turns
-    wrapping mod 2^64.  The minus member reads it as the conjugate, since
-    its turns per step are the integer 2*step*p/q minus the plus member's,
-    so entry k is off by at most 2k units of 2^-64 turns for both members.
-    Each chunk from lo on then takes one isqrt per row for the exact phases
-    frac((step*lo*c + b)/c * mu) of both members, whose fraction is reduced
-    since gcd(step*lo*c + b, c) = gcd(b, c) = 1, and one real product of
-    (alpha, beta) = (c_plus + c_minus, -i*(c_plus - c_minus)) with the
-    table, and no error carries over from chunk to chunk.  Stops at the
-    first l whose fidelity reaches 1 - epsilon; otherwise reports the
+    Of the n scanned l, a chunk from lo on covers lo + k1*K0 + k0 for
+    k0 < K0 = min(_SCAN_OFFSETS, n) and k1 < K1 = min(_SCAN_BLOCKS,
+    ceil(n/K0)).  Two tables with one entry per `_phase_terms` row come
+    once from the plus member's 64-bit turns per step, wrapping mod 2^64:
+    the offsets [cos; sin](2*pi*frac(k0*step*mu_plus)) and the block
+    rotations exp(-2*pi*i*frac(k1*K0*step*mu_plus)).  The minus member
+    reads both as the conjugate, since its turns per step are the integer
+    2*step*p/q minus the plus member's, so at l = lo + k both are off by
+    at most 2k units of 2^-64 turns plus one rounding of a complex product.
+    Each chunk takes one isqrt per row for the exact phases
+    frac((step*lo*c + b)/c * mu), reduced since gcd(step*lo*c + b, c) =
+    gcd(b, c) = 1, so no error carries over from chunk to chunk.  The cos
+    and sin coefficients (c_plus + c_minus, -i*(c_plus - c_minus)) have
+    the parts of z = (c_plus + conj(c_minus), -i*(c_plus - conj(c_minus)));
+    z times the block rotations, as one real (2*K1 x 2P) @ (2P x K0)
+    product with the offsets, gives the amplitudes in l order.  Stops at
+    the first l whose fidelity reaches 1 - epsilon; otherwise reports the
     global maximum with ties resolved to the smaller l.  The reported time
     is the float (2*step*l + 2*b/c)*pi.
     """
     step, b, c = grid
+    k0n = min(_SCAN_OFFSETS, l_bound - l_start + 1)
+    k1n = min(_SCAN_BLOCKS, (l_bound - l_start) // k0n + 1)
     weights = np.array([row[:2] for row in rows]).T
-    ks = np.arange(min(SCAN_CHUNK, l_bound - l_start + 1), dtype=np.uint64)
     per_step = np.array([_turn_pair(row, step, 1)[0] for row in rows], dtype=np.uint64)
-    angles = _angles(per_step[:, None] * ks)
-    table = np.concatenate([np.cos(angles), np.sin(angles)])
-    fold = np.array([[1, 1], [-1j, 1j]])  # (alpha, beta) from (c_plus, c_minus)
+    angles = _angles(per_step[:, None] * np.arange(k0n, dtype=np.uint64))
+    offsets = np.stack([np.cos(angles), np.sin(angles)], axis=1).reshape(-1, k0n)  # z's row order
+    block_turns = np.arange(0, k1n * k0n, k0n, dtype=np.uint64)[:, None] * per_step
+    blocks = np.exp(-1j * _angles(block_turns))
+    amps = np.empty((2 * k1n, k0n))
+    fold = np.array([[1, 1], [-1j, 1j]])  # z from (c_plus, conj(c_minus))
+    conj = np.array([[-1j], [1j]])
     threshold = 1.0 - epsilon
     best_l, best_fid, achieved = l_start, -1.0, False
-    for lo in range(l_start, l_bound + 1, SCAN_CHUNK):
+    for lo in range(l_start, l_bound + 1, k1n * k0n):
         turns = [_turn_pair(row, step * lo * c + b, c) for row in rows]
-        coeffs = (fold @ (weights * np.exp(-1j * _angles(turns).T))).ravel()
-        amps = np.array([coeffs.real, coeffs.imag]) @ table[:, : l_bound + 1 - lo]
+        z = fold @ (weights * np.exp(conj * _angles(turns).T))
+        coeffs = (z[:, None, :] * blocks).view(np.float64).reshape(2 * k1n, -1)
+        np.matmul(coeffs, offsets, out=amps)
         amps *= amps
-        fids = amps[0]
-        fids += amps[1]
-        k = int(np.argmax(fids))
-        if fids[k] >= threshold:
-            k = int(np.argmax(fids >= threshold))
-            best_l, best_fid, achieved = lo + k, float(fids[k]), True
+        amps[:k1n] += amps[k1n:]
+        live = amps[:k1n].reshape(-1)[: l_bound + 1 - lo]
+        k = int(np.argmax(live))
+        if live[k] >= threshold:
+            k = int(np.argmax(live >= threshold))
+            best_l, best_fid, achieved = lo + k, float(live[k]), True
             break
-        if fids[k] > best_fid:
-            best_l, best_fid = lo + k, float(fids[k])
+        if live[k] > best_fid:
+            best_l, best_fid = lo + k, float(live[k])
     time = (2.0 * step * best_l + 2.0 * b / c) * math.pi
     return PGSTSearchResult(u, v, epsilon, l_bound, achieved, basis, best_l, time, best_fid)
 
@@ -390,15 +409,19 @@ def pgst_scan(
     false means only that no scanned l reached 1 - epsilon.  Its time is
     the float (4.0*l + 2.0/g)*pi.  `rows` are G's pair rows when the
     caller has built them already.  An epsilon outside (0, 1], a start
-    below 0 or above `l_bound`, or g < 1 raises ValueError.
+    below 0 or above `l_bound`, g < 1, or u and v not two distinct base
+    vertices raises ValueError.
 
     The fidelity is that at the exact T_l.  Phases are exact integer
-    fractions of a turn, so its error does not grow with l: about 1e-15
-    when every base eigenvalue is integral, at l = 10^12 as at l = 1.  A
-    non-integral eigenvalue enters as its float value, whose rounding
-    (about 1e-15 relative) then shifts the phase by that much times T_l.
+    fractions of a turn at the first l of each chunk of up to 32,768 l,
+    within 2k units of 2^-64 turns at its k-th (`_exact_phase_scan`'s two
+    tables), so its error does not grow with l: about 1e-15 when every base
+    eigenvalue is integral, at l = 10^12 as at l = 1.  A non-integral
+    eigenvalue enters as its float value, whose rounding (about 1e-15
+    relative) then shifts the phase by that much times T_l.
     """
     _check_search_args(epsilon, l_start, l_bound, g)
+    _check_base_pair(params, u, v)
     terms = _phase_terms(gdec, params, _pair_rows(gdec, params) if rows is None else rows, u, v)
     return _exact_phase_scan(terms, (2, 1, g), u, v, epsilon, l_start, l_bound, "heuristic-search")
 
@@ -427,6 +450,7 @@ def pgst_time_search(
     unmet condition in `note`.  The base pair is certified once.
     """
     _check_search_args(epsilon, 0, l_bound)
+    _check_base_pair(params, u, v)
     base = pst_certify(gdec, u, v)
     rows = _pair_rows(gdec, params)
     note = _unmet_pgst_condition(params, base, rows)
@@ -591,8 +615,7 @@ def corona_base_pst_check(g: Graph, h: Graph, u: int, v: int) -> PSTReport:
     and degree.  The dense corona is a test oracle.
     """
     params = CoronaParams.from_graphs(g, h)
-    if u == v or not (0 <= u < params.n1 and 0 <= v < params.n1):
-        raise ValueError(f"need two distinct base vertices below {params.n1}")
+    _check_base_pair(params, u, v)
     gdec = decompose(signless_laplacian(g))
     integral = {w: [_as_int(x) for x in eigenvalue_support(gdec, w)] for w in (u, v)}
 

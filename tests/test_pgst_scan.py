@@ -112,28 +112,40 @@ def test_fidelity_matches_mpmath_at_exact_grid_times(base, att, u, v):
 
 
 SINGLE_TIMES = tuple((l, l) for l in [*range(40), 997, 4096, 8191, 8192, 8193])
+SEAM_WINDOWS = ((255, 257), (511, 513), (32767, 32769), (32400, 33200), (0, 513), (0, 33200))
 
 
 @pytest.mark.parametrize(
-    "base,att,u,v,grid,windows",
+    "base,att,u,v,grid,windows,tol",
     [
-        pytest.param("CP:4", "empty:1", 0, 1, (2, 1, 2), SINGLE_TIMES, id="CP:4-empty:1-0-1-2"),
-        pytest.param("K:2", "K:2", 0, 1, (2, 1, 1), SINGLE_TIMES, id="K:2-K:2-0-1-1"),
-        pytest.param("HQ:3", "K:1", 0, 7, (2, 1, 2), SINGLE_TIMES, id="HQ:3-K:1-0-7-2"),
+        pytest.param("CP:4", "empty:1", 0, 1, (2, 1, 2), SINGLE_TIMES, 1e-10,
+                     id="CP:4-empty:1-0-1-2"),
+        pytest.param("K:2", "K:2", 0, 1, (2, 1, 1), SINGLE_TIMES, 1e-10, id="K:2-K:2-0-1-1"),
+        pytest.param("HQ:3", "K:1", 0, 7, (2, 1, 2), SINGLE_TIMES, 1e-10, id="HQ:3-K:1-0-7-2"),
         # non-integral base: what the CLI's heuristic fallback scans
-        pytest.param("C:5", "K:1", 0, 1, (2, 1, 1), SINGLE_TIMES, id="C:5-K:1-0-1-1"),
-        pytest.param("C:5", "K:1", 0, 2, (2, 1, 1), SINGLE_TIMES, id="C:5-K:1-0-2-1"),
-        pytest.param("C:7", "empty:2", 0, 3, (2, 1, 1), SINGLE_TIMES, id="C:7-empty:2-0-3-1"),
+        pytest.param("C:5", "K:1", 0, 1, (2, 1, 1), SINGLE_TIMES, 1e-10, id="C:5-K:1-0-1-1"),
+        pytest.param("C:5", "K:1", 0, 2, (2, 1, 1), SINGLE_TIMES, 1e-10, id="C:5-K:1-0-2-1"),
+        pytest.param("C:7", "empty:2", 0, 3, (2, 1, 1), SINGLE_TIMES, 1e-10,
+                     id="C:7-empty:2-0-3-1"),
         # the cocktail grid T_l = 2*pi*l, where step * p / q is odd
-        pytest.param("CP:3", "K:1", 0, 1, (1, 0, 1), SINGLE_TIMES + ((1, 300),),
+        pytest.param("CP:3", "K:1", 0, 1, (1, 0, 1), SINGLE_TIMES + ((1, 300),), 1e-10,
                      id="CP:3-K:1-0-1-cocktail-grid"),
-        # windows across l = 8192 and across a chunk restart, reading table
-        # entries k > 0 on a base with integral and float rows
+        # windows of up to 8,301 l across block edges, reading table entries
+        # k > 0 on a base with integral and float rows
         pytest.param("C:5", "K:1", 0, 1, (2, 1, 1), ((8000, 8400), (100, 8400), (8191, 8193)),
-                     id="C:5-K:1-0-1-windows"),
+                     1e-10, id="C:5-K:1-0-1-windows"),
+        # windows around the offset table's edges (l = 256, 512 from 0) and
+        # the chunk restart (l = 32768 from 0), and ones from 0 that cross
+        # them, on float rows and on integral rows; near l = 33,200 the
+        # oracle's own error bound, 3*eps*T*max|mu| for its float times, is
+        # 2.9e-9 on C:5 and 6.2e-9 on CP:4, and it reads 2.0e-10 off the
+        # exact value at l = 32,767 on CP:4
+        pytest.param("C:5", "K:1", 0, 1, (2, 1, 1), SEAM_WINDOWS, 1e-8, id="C:5-K:1-0-1-seams"),
+        pytest.param("CP:4", "empty:1", 0, 1, (2, 1, 2), SEAM_WINDOWS, 1e-8,
+                     id="CP:4-empty:1-0-1-2-seams"),
     ],
 )
-def test_scan_matches_transition_element(base, att, u, v, grid, windows):
+def test_scan_matches_transition_element(base, att, u, v, grid, windows, tol):
     step, b, c = grid
     _, _, gdec, params = corona_of(base, att)
     rows = _phase_terms(gdec, params, _pair_rows(gdec, params), u, v)
@@ -143,7 +155,11 @@ def test_scan_matches_transition_element(base, att, u, v, grid, windows):
         res = _exact_phase_scan(rows, grid, u, v, 1e-300, lo, hi, "heuristic-search")
         assert res.best_l == lo + int(np.argmax(oracle)), (lo, hi)
         assert res.time == times[res.best_l - lo]
-        assert res.fidelity == pytest.approx(oracle.max(), abs=1e-10), (lo, hi)
+        assert res.fidelity == pytest.approx(oracle.max(), abs=tol), (lo, hi)
+        # the tables stay within 2k units of 2^-64 turns of the exact phases
+        # that a scan starting at best_l reads
+        alone = _exact_phase_scan(rows, grid, u, v, 1e-300, res.best_l, res.best_l, "heuristic-search")
+        assert res.fidelity == pytest.approx(alone.fidelity, abs=1e-13), (lo, hi)
 
 
 def test_scan_keeps_the_first_hit_and_the_smaller_l_on_ties():
@@ -269,8 +285,9 @@ def test_float_rows_carry_one_member_each():
         _assert_turn_pairs_match_reference(rows, 2 * l + 1, 1)
 
 
-def test_full_scan_memory_stays_below_two_mib():
-    # the table holds one cos and one sin row per pair, 2 * 5 * 8192 floats
+def test_full_scan_memory_stays_below_one_mib():
+    # a chunk's fidelities fill a 2 * 128 x 256 buffer, 512 KiB; the tables
+    # hold 2 * 5 x 256 floats and 128 x 5 complex rotations
     _, _, gdec, params = corona_of("HQ:4", "empty:7")
     pgst_scan(gdec, params, 0, 15, 1e-300, 10, 2)
     tracemalloc.start()
@@ -280,7 +297,41 @@ def test_full_scan_memory_stays_below_two_mib():
     finally:
         tracemalloc.stop()
     assert not res.achieved
-    assert peak < 2 * 2**20, peak
+    assert peak < 2**20, peak
+
+
+def test_one_point_scan_sizes_its_tables_to_the_range():
+    _, _, gdec, params = corona_of("HQ:4", "empty:7")
+    pgst_scan(gdec, params, 0, 15, 1e-300, 10, 2)
+    tracemalloc.start()
+    try:
+        res = pgst_scan(gdec, params, 0, 15, 1e-300, 10**6, 2, l_start=10**6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.best_l == 10**6
+    assert peak < 16 * 2**10, peak
+
+
+def test_search_to_ten_million_keeps_its_answer():
+    # the first eps = 1e-3 hit on this pair lies beyond l = 10^7; any faster
+    # search must return this (best_l, achieved) for l <= 10^7
+    _, _, gdec, params = corona_of("HQ:4", "empty:2")
+    res = pgst_time_search(gdec, params, 0, 15, 1e-3, 10**7)
+    assert (res.best_l, res.achieved) == (3225118, False)
+    assert res.fidelity == pytest.approx(0.996772355189, abs=1e-12)
+
+
+@pytest.mark.parametrize("search", ["scan", "time-search"])
+@pytest.mark.parametrize("u,v", [(-8, -7), (0, -1), (0, 8), (8, 0), (1, 1)])
+def test_searches_reject_pairs_that_are_not_two_base_vertices(search, u, v):
+    # CP:4 has n1 = 8; a negative index would wrap to a real vertex
+    _, _, gdec, params = corona_of("CP:4", "empty:1")
+    with pytest.raises(ValueError, match="^need two distinct base vertices below 8$"):
+        if search == "scan":
+            pgst_scan(gdec, params, u, v, 1e-2, 100, 2)
+        else:
+            pgst_time_search(gdec, params, u, v, 1e-2, 100)
 
 
 def test_cocktail_grid_matches_transition_element():
@@ -337,6 +388,16 @@ def test_cli_search_certifies_the_base_pair_once(argv, monkeypatch, capsys):
     monkeypatch.setattr(cli, "pst_certify", counted)
     assert cli.main(["search-pgst", *argv, "--l-bound", "100"]) == 0
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("u,v", [("0", "0"), ("base:3", "3")])
+def test_cli_search_rejects_equal_base_vertices_before_decomposing(u, v, monkeypatch, capsys):
+    calls = []
+    monkeypatch.setattr(cli, "decompose", lambda *args: calls.append(args))
+    assert cli.main(["search-pgst", "corona(CP:4,empty:1)", u, v]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "error: strong cospectrality needs two distinct vertices\n")
+    assert calls == []
 
 
 def test_cli_k2_even_attachment_falls_back(capsys):
