@@ -20,10 +20,9 @@ QuadExt is built only for a value that is read as one; rows of one
 value merge by `_row_keys`.  `_pair_rows` builds the pair rows from G's
 decomposition and `CoronaParams` alone, and every reader of pair data
 takes them from there: the base-pair certifier, which needs no
-eigenvalue of H, and `_amplitude_terms`, the one source of the amplitude
-between base vertices (u,0) and (v,0) for both
-`corona_transition_element` and the PGST scan.  Nothing here forms the
-N x N corona: its dense signless Laplacian,
+eigenvalue of H, and the PGST scan's phase rows for the amplitude between
+base vertices (u,0) and (v,0).  Nothing here forms the N x N corona: its
+dense signless Laplacian,
 `signless_laplacian(vertex_complemented_corona(g, h))`, is the oracle that
 the tests hold the closed form against.
 """
@@ -37,7 +36,7 @@ import numpy as np
 
 from .algebraic import DEFAULT_RECOGNITION_TOL, InternalInvariantError, QuadExt, square_free_part
 from .graphs import Graph, is_connected, regular_degree
-from .spectra import SpectralDecomposition, _phase_sum
+from .spectra import SpectralDecomposition
 
 # a factor's top eigenvalue must lie this close to 2*r
 MATCH_TOL = 1e-8
@@ -272,36 +271,3 @@ def corona_spectrum(
     if total != expect:
         raise InternalInvariantError(f"multiplicities sum to {total}, expected {expect}")
     return CoronaSpectrum(params=params, rows=tuple(rows), gdec=gdec, hdec=hdec)
-
-
-def _amplitude_terms(gdec: SpectralDecomposition, params: CoronaParams, rows, u: int, v: int):
-    """The amplitude (u,0) -> (v,0) as terms (weight, a, D, sign), one per pair row.
-
-    A base eigenvalue theta puts weight F_theta[u,v]*(1 + sign*x/L)/2 on
-    its pair member (a + sign*L)/2, where a = theta + s + t,
-    x = theta - s + t and L = sqrt(D) is the pair gap (the top gap at
-    theta = 2*r1), so the amplitude at tau is
-    sum weight*exp(-i*tau*(a + sign*sqrt(D))/2).  `rows` are G's
-    `_pair_rows`.
-    """
-    s, t = params.s, params.t
-    f_uv = gdec.entries(u, v)
-    terms = []
-    for _, a, sign, d, _, idx in rows:
-        # x = a - 2*s exactly for an integral theta; a float theta keeps its own bits
-        x = a - 2 * s if isinstance(a, int) else gdec.eigenvalues[idx] - s + t
-        terms.append((float(f_uv[idx]) * (1 + sign * x / math.sqrt(d)) / 2, a, d, sign))
-    return terms
-
-
-def corona_transition_element(
-    gdec: SpectralDecomposition,
-    params: CoronaParams,
-    u: int,
-    v: int,
-    taus,
-):
-    """Walk amplitude (u,0) -> (v,0) on the corona, from G's spectrum alone."""
-    terms = _amplitude_terms(gdec, params, _pair_rows(gdec, params), u, v)
-    freqs = [(a + sign * math.sqrt(d)) / 2 for _, a, d, sign in terms]
-    return _phase_sum([term[0] for term in terms], freqs, taus)

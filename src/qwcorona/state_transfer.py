@@ -37,7 +37,6 @@ from .algebraic import (
 )
 from .corona_spectra import (
     CoronaParams,
-    _amplitude_terms,
     _as_int,
     _pair_rows,
     _row_keys,
@@ -280,28 +279,31 @@ def _certify_support(u, v, supported) -> PSTReport:
 # bounded time search
 
 
-def _phase_terms(gdec, params, rows, u, v) -> list:
-    """The terms of `_amplitude_terms` on G's pair rows as exact phase rows.
+def _phase_rows(gdec: SpectralDecomposition, params: CoronaParams, u: int, v: int) -> list:
+    """The amplitude (u,0) -> (v,0) as exact phase rows, from G's pair rows.
 
-    A row (w_plus, w_minus, p, q, d) is the sum of w*exp(-i*tau*mu) over
-    its members mu = (p +/- sqrt(d))/q, held exactly.  An integral base
-    eigenvalue gives one row per pair (d its pair radicand, q = 2); the
-    scan reads its minus member's offset and block table entries as the
-    plus member's conjugates, off by at most 2k units of 2^-64 turns at
-    the k-th l of a chunk like the plus member, since 2*step*p/q is an
-    integer.  Any other eigenvalue gives one row per member, the binary
-    fraction of its float value (d = 0, w_minus = 0).
+    A base eigenvalue theta puts weight F_theta[u,v]*(1 +/- x/L)/2 on its
+    pair members (a +/- L)/2, where a = theta + s + t, x = theta - s + t
+    and L = sqrt(D) is the pair gap (the top gap at theta = 2*r1).  A row
+    (w_plus, w_minus, p, q, d) is the sum of w*exp(-i*tau*mu) over its
+    members mu = (p +/- sqrt(d))/q, held exactly.  An integral theta gives
+    one row per pair (q = 2); any other gives one row per member, the
+    binary fraction of its float value (d = 0, w_minus = 0).
     """
-    terms = _amplitude_terms(gdec, params, rows, u, v)
-    phase_rows = []
-    for (w_plus, a, d, _), (w_minus, *_) in zip(terms[::2], terms[1::2]):
-        if isinstance(d, int):
-            phase_rows.append((w_plus, w_minus, a, 2, d))
+    s, t = params.s, params.t
+    f_uv = gdec.entries(u, v)
+    rows = []
+    for _, a, _, d, _, idx in _pair_rows(gdec, params)[::2]:
+        # x = a - 2*s exactly for an integral theta; a float theta keeps its own bits
+        x = a - 2 * s if isinstance(a, int) else gdec.eigenvalues[idx] - s + t
+        w_plus, w_minus = (float(f_uv[idx]) * (1 + sign * x / math.sqrt(d)) / 2 for sign in (1, -1))
+        if isinstance(a, int):
+            rows.append((w_plus, w_minus, a, 2, d))
         else:
             for weight, sign in ((w_plus, 1), (w_minus, -1)):
                 ratio = ((a + sign * math.sqrt(d)) / 2.0).as_integer_ratio()
-                phase_rows.append((weight, 0.0, *ratio, 0))
-    return phase_rows
+                rows.append((weight, 0.0, *ratio, 0))
+    return rows
 
 
 def _turn_pair(row, n: int, m: int) -> tuple:
@@ -322,42 +324,67 @@ def _check_base_pair(params: CoronaParams, u: int, v: int) -> None:
         raise ValueError(f"need two distinct base vertices below {params.n1}")
 
 
-def _check_search_args(epsilon, l_start, l_bound, g=1) -> None:
+def _check_search_args(epsilon, l_start, l_bound) -> None:
     if not 0 < epsilon <= 1:
         raise ValueError(f"epsilon must lie in (0, 1], got {epsilon}")
     if l_start < 0:
         raise ValueError(f"l_start must be non-negative, got {l_start}")
     if l_bound < l_start:
         raise ValueError(f"l_bound {l_bound} below start {l_start}")
-    if g < 1:
-        raise ValueError(f"g must be a positive integer, got {g}")
 
 
-def _exact_phase_scan(rows, grid, u, v, epsilon, l_start, l_bound, basis) -> PGSTSearchResult:
-    """The PGST scan over T_l = 2*pi*(step*l + b/c), l in [l_start, l_bound],
-    for the grid (step, b, c) with b/c reduced.
+def pgst_scan(
+    gdec: SpectralDecomposition,
+    params: CoronaParams,
+    u: int,
+    v: int,
+    epsilon: float,
+    l_bound: int,
+    grid: tuple,
+    l_start: int = 0,
+) -> PGSTSearchResult:
+    """Scan T_l = 2*pi*(step*l + b/c), l in [l_start, l_bound], on base fidelity.
+
+    `grid` is (step, b, c) with step, c >= 1 and b/c >= 0 reduced:
+    `pgst_time_search` scans (2, 1, g), T_l = (4l + 2/g)*pi, and
+    `pgst_cocktail` scans (1, 0, 1), T_l = 2*pi*l.  Stops at the first l
+    whose fidelity reaches 1 - epsilon; otherwise reports the global
+    maximum with ties resolved to the smaller l.  Returns a
+    PGSTSearchResult with basis heuristic-search: `achieved` false means
+    only that no scanned l reached 1 - epsilon.  Its time is the float
+    (2*step*l + 2*b/c)*pi.  An epsilon outside (0, 1], a start below 0 or
+    above `l_bound`, any other grid, or u and v not two distinct base
+    vertices raises ValueError.
 
     Of the n scanned l, a chunk from lo on covers lo + k1*K0 + k0 for
     k0 < K0 = min(_SCAN_OFFSETS, n) and k1 < K1 = min(_SCAN_BLOCKS,
-    ceil(n/K0)).  Two tables with one entry per `_phase_terms` row come
+    ceil(n/K0)).  Two tables with one entry per `_phase_rows` row come
     once from the plus member's 64-bit turns per step, wrapping mod 2^64:
     the offsets [cos; sin](2*pi*frac(k0*step*mu_plus)) and the block
-    rotations exp(-2*pi*i*frac(k1*K0*step*mu_plus)).  The minus member
-    reads both as the conjugate, since its turns per step are the integer
-    2*step*p/q minus the plus member's, so at l = lo + k both are off by
-    at most 2k units of 2^-64 turns plus one rounding of a complex product.
-    Each chunk takes one isqrt per row for the exact phases
-    frac((step*lo*c + b)/c * mu), reduced since gcd(step*lo*c + b, c) =
-    gcd(b, c) = 1, so no error carries over from chunk to chunk.  The cos
-    and sin coefficients (c_plus + c_minus, -i*(c_plus - c_minus)) have
-    the parts of z = (c_plus + conj(c_minus), -i*(c_plus - conj(c_minus)));
-    z times the block rotations, as one real (2*K1 x 2P) @ (2P x K0)
-    product with the offsets, gives the amplitudes in l order.  Stops at
-    the first l whose fidelity reaches 1 - epsilon; otherwise reports the
-    global maximum with ties resolved to the smaller l.  The reported time
-    is the float (2*step*l + 2*b/c)*pi.
+    rotations exp(-2*pi*i*frac(k1*K0*step*mu_plus)).  The minus member of
+    an integral pair reads both as the conjugate, since its turns per step
+    are the integer 2*step*p/q minus the plus member's.  Each chunk takes
+    one isqrt per row for the exact phases frac((step*lo*c + b)/c * mu),
+    reduced since gcd(step*lo*c + b, c) = gcd(b, c) = 1.  The cos and sin
+    coefficients (c_plus + c_minus, -i*(c_plus - c_minus)) have the parts
+    of z = (c_plus + conj(c_minus), -i*(c_plus - conj(c_minus))); z times
+    the block rotations, as one real (2*K1 x 2P) @ (2P x K0) product with
+    the offsets, gives the amplitudes in l order.
+
+    Error bound: the fidelity is that at the exact T_l, with every phase
+    off by at most 2k units of 2^-64 turns at the k-th l of a chunk, plus
+    one rounding of a complex product.  No error carries over from chunk
+    to chunk, so it does not grow with l: about 1e-15 when every base
+    eigenvalue is integral, at l = 10^12 as at l = 1.  A non-integral
+    eigenvalue enters as the float values of its members, whose rounding
+    (about 1e-15 relative) then shifts the phase by that much times T_l.
     """
+    _check_search_args(epsilon, l_start, l_bound)
     step, b, c = grid
+    if step < 1 or c < 1 or b < 0 or math.gcd(b, c) != 1:
+        raise ValueError(f"grid (step, b, c) needs step, c >= 1 and b/c >= 0 reduced, got {grid}")
+    _check_base_pair(params, u, v)
+    rows = _phase_rows(gdec, params, u, v)
     k0n = min(_SCAN_OFFSETS, l_bound - l_start + 1)
     k1n = min(_SCAN_BLOCKS, (l_bound - l_start) // k0n + 1)
     weights = np.array([row[:2] for row in rows]).T
@@ -387,43 +414,8 @@ def _exact_phase_scan(rows, grid, u, v, epsilon, l_start, l_bound, basis) -> PGS
         if live[k] > best_fid:
             best_l, best_fid = lo + k, float(live[k])
     time = (2.0 * step * best_l + 2.0 * b / c) * math.pi
+    basis = "heuristic-search"
     return PGSTSearchResult(u, v, epsilon, l_bound, achieved, basis, best_l, time, best_fid)
-
-
-def pgst_scan(
-    gdec: SpectralDecomposition,
-    params: CoronaParams,
-    u: int,
-    v: int,
-    epsilon: float,
-    l_bound: int,
-    g: int,
-    l_start: int = 0,
-    rows=None,
-) -> PGSTSearchResult:
-    """Scan T_l = (4l + 2/g)*pi for l in [l_start, l_bound] on base fidelity.
-
-    Stops at the first l whose fidelity reaches 1 - epsilon; otherwise
-    reports the global maximum with ties resolved to the smaller l.
-    Returns a PGSTSearchResult with basis heuristic-search: `achieved`
-    false means only that no scanned l reached 1 - epsilon.  Its time is
-    the float (4.0*l + 2.0/g)*pi.  `rows` are G's pair rows when the
-    caller has built them already.  An epsilon outside (0, 1], a start
-    below 0 or above `l_bound`, g < 1, or u and v not two distinct base
-    vertices raises ValueError.
-
-    The fidelity is that at the exact T_l.  Phases are exact integer
-    fractions of a turn at the first l of each chunk of up to 32,768 l,
-    within 2k units of 2^-64 turns at its k-th (`_exact_phase_scan`'s two
-    tables), so its error does not grow with l: about 1e-15 when every base
-    eigenvalue is integral, at l = 10^12 as at l = 1.  A non-integral
-    eigenvalue enters as its float value, whose rounding (about 1e-15
-    relative) then shifts the phase by that much times T_l.
-    """
-    _check_search_args(epsilon, l_start, l_bound, g)
-    _check_base_pair(params, u, v)
-    terms = _phase_terms(gdec, params, _pair_rows(gdec, params) if rows is None else rows, u, v)
-    return _exact_phase_scan(terms, (2, 1, g), u, v, epsilon, l_start, l_bound, "heuristic-search")
 
 
 def pgst_time_search(
@@ -452,16 +444,17 @@ def pgst_time_search(
     _check_search_args(epsilon, 0, l_bound)
     _check_base_pair(params, u, v)
     base = pst_certify(gdec, u, v)
-    rows = _pair_rows(gdec, params)
-    note = _unmet_pgst_condition(params, base, rows)
+    note = _unmet_pgst_condition(gdec, params, base)
     g = base.g if base.verdict == PST else 1
-    scan = pgst_scan(gdec, params, u, v, epsilon, l_bound, g, rows=rows)
+    scan = pgst_scan(gdec, params, u, v, epsilon, l_bound, (2, 1, g))
     if note is None:
         return replace(scan, basis="irrational-gap-search")
     return replace(scan, note=note)
 
 
-def _unmet_pgst_condition(params: CoronaParams, base: PSTReport, rows) -> str | None:
+def _unmet_pgst_condition(
+    gdec: SpectralDecomposition, params: CoronaParams, base: PSTReport
+) -> str | None:
     """The first of `pgst_time_search`'s conditions that fails, as text; None when all hold."""
     if params.r2 != 0:
         return f"the guaranteed search needs an edgeless attachment graph, got degree {params.r2}"
@@ -479,11 +472,12 @@ def _unmet_pgst_condition(params: CoronaParams, base: PSTReport, rows) -> str | 
             "guarantee requires an irrational top gap"
         )
     if params.n1 >= 3:
-        # one row per base eigenvalue below the top
-        for _, a, _, d, _, _ in rows[2::2]:
-            if isinstance(d, int) and is_perfect_square(d):
+        integral = [k for k in map(_as_int, gdec.eigenvalues[1:]) if k is not None]
+        for theta in integral:
+            d = pair_radicand(params, theta)
+            if is_perfect_square(d):
                 return (
-                    f"pair gap sqrt({d}) at base eigenvalue {a - params.s - params.t} is rational; "
+                    f"pair gap sqrt({d}) at base eigenvalue {theta} is rational; "
                     "the search guarantee requires every pair gap of a base on "
                     f"{params.n1} >= 3 vertices to be irrational"
                 )
@@ -529,8 +523,8 @@ def pgst_cocktail(
         return PGSTSearchResult(0, 1, epsilon, l_bound, False, "hypotheses-not-met")
 
     gdec = decompose(signless_laplacian(cocktail_party_graph(m)))
-    terms = _phase_terms(gdec, params, _pair_rows(gdec, params), 0, 1)
-    return _exact_phase_scan(terms, (1, 0, 1), 0, 1, epsilon, 1, l_bound, basis)
+    scan = pgst_scan(gdec, params, 0, 1, epsilon, l_bound, (1, 0, 1), l_start=1)
+    return replace(scan, basis=basis)
 
 
 # ---------------------------------------------------------------------------

@@ -5,11 +5,14 @@ never needs; the tests hold the library's results against them.
 """
 from __future__ import annotations
 
+import math
 import operator
 
+import mpmath
 import numpy as np
 import sympy
 
+from qwcorona.algebraic import DEFAULT_RECOGNITION_TOL
 from qwcorona.corona_spectra import MATCH_TOL, CoronaParams, CoronaSpectrum, pair_radicand, top_radicand
 from qwcorona.graphs import (
     Graph,
@@ -18,7 +21,8 @@ from qwcorona.graphs import (
     signless_laplacian,
     vertex_complemented_corona,
 )
-from qwcorona.spectra import DEFAULT_SUPPORT_TOL, SpectralDecomposition, decompose
+from qwcorona.spectra import DEFAULT_SUPPORT_TOL, SpectralDecomposition, _phase_sum, decompose
+from qwcorona.state_transfer import _phase_rows
 
 
 def corona_full_q(g: Graph, h: Graph) -> np.ndarray:
@@ -171,3 +175,82 @@ def top_identity_targets(params: CoronaParams):
     d = top_radicand(params)
     c = params.n2 * (1 - params.n1) ** 2
     return -c, c * d
+
+
+def corona_transition_element(
+    gdec: SpectralDecomposition, params: CoronaParams, u: int, v: int, taus
+):
+    """Walk amplitude (u,0) -> (v,0) on the corona at float times, from the
+    PGST scan's phase rows: each row (w_plus, w_minus, p, q, d) adds
+    w*exp(-i*tau*mu) for its members mu = (p +/- sqrt(d))/q.  The tests hold
+    it against the dense matrix exponential, which checks the rows' pair
+    weights."""
+    rows = _phase_rows(gdec, params, u, v)
+    weights = [w for row in rows for w in row[:2]]
+    freqs = [(p + sign * math.sqrt(d)) / q for _, _, p, q, d in rows for sign in (1, -1)]
+    return _phase_sum(weights, freqs, taus)
+
+
+def _exact_members(gdec: SpectralDecomposition, params: CoronaParams, u: int, v: int) -> list:
+    """(weight, mu) for every pair member in the amplitude (u,0) -> (v,0),
+    at mpmath's working precision.
+
+    The paper's pair formula on G's eigenvalues and `gdec.entries`, not the
+    library's rows: theta puts weight F_theta[u,v]*(1 +/- x/L)/2 on the
+    member mu = (a +/- L)/2, where a = theta + s + t, x = theta - s + t and
+    L^2 = x^2 + 4*n2, or x^2 + 4*n2*(n1 - 1)^2 at the top theta = 2*r1.  An
+    integral theta is taken exactly.  The members of any other theta are
+    the float values (a +/- sqrt(L^2))/2 of float arithmetic, which the
+    scan documents that it reads.
+    """
+    s, t = params.s, params.t
+    f_uv = gdec.entries(u, v)
+    out = []
+    for idx, theta in enumerate(gdec.eigenvalues):
+        exact = 2 * params.r1 if idx == 0 else round(theta)
+        gap4 = 4 * params.n2 * (params.n1 - 1) ** 2 if idx == 0 else 4 * params.n2
+        if abs(theta - exact) <= DEFAULT_RECOGNITION_TOL:
+            x = exact - s + t
+            root = mpmath.sqrt(x * x + gap4)
+            mus = [(exact + s + t + sign * root) / 2 for sign in (1, -1)]
+        else:
+            x = theta - s + t
+            floats = [(theta + s + t + sign * math.sqrt(x * x + gap4)) / 2.0 for sign in (1, -1)]
+            mus = [mpmath.mpf(mu) for mu in floats]
+            root = mpmath.sqrt(mpmath.mpf(x) ** 2 + gap4)
+        weight = mpmath.mpf(float(f_uv[idx]))
+        out += [(weight * (1 + sign * x / root) / 2, mu) for sign, mu in zip((1, -1), mus)]
+    return out
+
+
+_FIXED_BITS = 200  # fixed-point bits of `exact_grid_fidelities`' rotations, about 60 digits
+
+
+def exact_grid_fidelities(
+    gdec: SpectralDecomposition, params: CoronaParams, u: int, v: int, grid, lo: int, hi: int
+) -> np.ndarray:
+    """Fidelity (u,0) -> (v,0) at the exact T_l = 2*pi*(step*l + b/c) for
+    l = lo..hi, grid = (step, b, c), good to 50 digits before it is rounded
+    to float.
+
+    Each member's term at lo comes from mpmath at 60 digits, and each later
+    one from the one before, rotated by exp(-2*pi*i*step*mu) in fixed point
+    at 2^-200.
+    """
+    step, b, c = grid
+    one = 1 << _FIXED_BITS
+    terms = []  # per member, fixed point: re and im of its term, then of its rotation
+    with mpmath.workdps(60):
+        for weight, mu in _exact_members(gdec, params, u, v):
+            start = weight * mpmath.expjpi(-2 * mu * (step * lo + mpmath.mpf(b) / c))
+            turn = mpmath.expjpi(-2 * mu * step)
+            parts = (start.real, start.imag, turn.real, turn.imag)
+            terms.append([int(mpmath.nint(z * one)) for z in parts])
+    out = np.empty(hi - lo + 1)
+    for k in range(hi - lo + 1):
+        re, im = sum(term[0] for term in terms), sum(term[1] for term in terms)
+        out[k] = (re * re + im * im) / (one * one)
+        for term in terms:
+            x, y, cr, ci = term
+            term[0], term[1] = (x * cr - y * ci) >> _FIXED_BITS, (x * ci + y * cr) >> _FIXED_BITS
+    return out

@@ -16,7 +16,6 @@ from qwcorona.algebraic import QuadExt, classify_support, is_perfect_square, squ
 from qwcorona.corona_spectra import (
     CoronaParams,
     corona_spectrum,
-    corona_transition_element,
     pair_radicand,
     top_radicand,
 )
@@ -48,6 +47,7 @@ from oracle import (
     antipodal_identity_check,
     as_decomposition,
     corona_full_q,
+    corona_transition_element,
     pair_identity_targets,
     pair_products,
     path_graph,

@@ -16,7 +16,6 @@ from qwcorona.corona_spectra import (
     TOP_PLUS,
     CoronaParams,
     corona_spectrum,
-    corona_transition_element,
     pair_radicand,
     top_radicand,
 )
@@ -26,6 +25,7 @@ from qwcorona.spectra import decompose
 from oracle import (
     as_decomposition,
     corona_full_q,
+    corona_transition_element,
     pair_identity_targets,
     pair_products,
     path_graph,

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import math
 import random
+import re
 import tracemalloc
 from dataclasses import replace
 
@@ -13,11 +14,7 @@ from scipy.optimize import minimize_scalar
 
 import qwcorona.state_transfer as st
 from qwcorona import cli
-from qwcorona.corona_spectra import (
-    CoronaParams,
-    _pair_rows,
-    corona_transition_element,
-)
+from qwcorona.corona_spectra import CoronaParams
 from qwcorona.graphs import generate, signless_laplacian
 from qwcorona.spectra import (
     _bounded_golden,
@@ -29,15 +26,14 @@ from qwcorona.spectra import (
 from qwcorona.state_transfer import (
     PST,
     PGSTSearchResult,
-    _exact_phase_scan,
-    _phase_terms,
+    _phase_rows,
     _turn_pair,
     pgst_cocktail,
     pgst_scan,
     pgst_time_search,
     pst_certify,
 )
-from oracle import corona_full_q
+from oracle import corona_full_q, corona_transition_element, exact_grid_fidelities
 
 
 def corona_of(base: str, att: str):
@@ -47,7 +43,7 @@ def corona_of(base: str, att: str):
 
 def fidelity_at(gdec, params, u, v, l, g):
     """Scan fidelity at the single grid time T_l, with the float time."""
-    res = pgst_scan(gdec, params, u, v, 1e-300, l, g, l_start=l)
+    res = pgst_scan(gdec, params, u, v, 1e-300, l, (2, 1, g), l_start=l)
     return res.time, res.fidelity
 
 
@@ -116,90 +112,86 @@ SEAM_WINDOWS = ((255, 257), (511, 513), (32767, 32769), (32400, 33200), (0, 513)
 
 
 @pytest.mark.parametrize(
-    "base,att,u,v,grid,windows,tol",
+    "base,att,u,v,grid,windows",
     [
-        pytest.param("CP:4", "empty:1", 0, 1, (2, 1, 2), SINGLE_TIMES, 1e-10,
-                     id="CP:4-empty:1-0-1-2"),
-        pytest.param("K:2", "K:2", 0, 1, (2, 1, 1), SINGLE_TIMES, 1e-10, id="K:2-K:2-0-1-1"),
-        pytest.param("HQ:3", "K:1", 0, 7, (2, 1, 2), SINGLE_TIMES, 1e-10, id="HQ:3-K:1-0-7-2"),
+        pytest.param("CP:4", "empty:1", 0, 1, (2, 1, 2), SINGLE_TIMES, id="CP:4-empty:1-0-1-2"),
+        pytest.param("K:2", "K:2", 0, 1, (2, 1, 1), SINGLE_TIMES, id="K:2-K:2-0-1-1"),
+        pytest.param("HQ:3", "K:1", 0, 7, (2, 1, 2), SINGLE_TIMES, id="HQ:3-K:1-0-7-2"),
         # non-integral base: what the CLI's heuristic fallback scans
-        pytest.param("C:5", "K:1", 0, 1, (2, 1, 1), SINGLE_TIMES, 1e-10, id="C:5-K:1-0-1-1"),
-        pytest.param("C:5", "K:1", 0, 2, (2, 1, 1), SINGLE_TIMES, 1e-10, id="C:5-K:1-0-2-1"),
-        pytest.param("C:7", "empty:2", 0, 3, (2, 1, 1), SINGLE_TIMES, 1e-10,
-                     id="C:7-empty:2-0-3-1"),
+        pytest.param("C:5", "K:1", 0, 1, (2, 1, 1), SINGLE_TIMES, id="C:5-K:1-0-1-1"),
+        pytest.param("C:5", "K:1", 0, 2, (2, 1, 1), SINGLE_TIMES, id="C:5-K:1-0-2-1"),
+        pytest.param("C:7", "empty:2", 0, 3, (2, 1, 1), SINGLE_TIMES, id="C:7-empty:2-0-3-1"),
         # the cocktail grid T_l = 2*pi*l, where step * p / q is odd
-        pytest.param("CP:3", "K:1", 0, 1, (1, 0, 1), SINGLE_TIMES + ((1, 300),), 1e-10,
+        pytest.param("CP:3", "K:1", 0, 1, (1, 0, 1), SINGLE_TIMES + ((1, 300),),
                      id="CP:3-K:1-0-1-cocktail-grid"),
         # windows of up to 8,301 l across block edges, reading table entries
         # k > 0 on a base with integral and float rows
         pytest.param("C:5", "K:1", 0, 1, (2, 1, 1), ((8000, 8400), (100, 8400), (8191, 8193)),
-                     1e-10, id="C:5-K:1-0-1-windows"),
+                     id="C:5-K:1-0-1-windows"),
         # windows around the offset table's edges (l = 256, 512 from 0) and
         # the chunk restart (l = 32768 from 0), and ones from 0 that cross
-        # them, on float rows and on integral rows; near l = 33,200 the
-        # oracle's own error bound, 3*eps*T*max|mu| for its float times, is
-        # 2.9e-9 on C:5 and 6.2e-9 on CP:4, and it reads 2.0e-10 off the
-        # exact value at l = 32,767 on CP:4
-        pytest.param("C:5", "K:1", 0, 1, (2, 1, 1), SEAM_WINDOWS, 1e-8, id="C:5-K:1-0-1-seams"),
-        pytest.param("CP:4", "empty:1", 0, 1, (2, 1, 2), SEAM_WINDOWS, 1e-8,
+        # them, on float rows and on integral rows
+        pytest.param("C:5", "K:1", 0, 1, (2, 1, 1), SEAM_WINDOWS, id="C:5-K:1-0-1-seams"),
+        pytest.param("CP:4", "empty:1", 0, 1, (2, 1, 2), SEAM_WINDOWS,
                      id="CP:4-empty:1-0-1-2-seams"),
     ],
 )
-def test_scan_matches_transition_element(base, att, u, v, grid, windows, tol):
+def test_scan_matches_transition_element(base, att, u, v, grid, windows):
     step, b, c = grid
     _, _, gdec, params = corona_of(base, att)
-    rows = _phase_terms(gdec, params, _pair_rows(gdec, params), u, v)
     for lo, hi in windows:
-        times = [(2.0 * step * l + 2.0 * b / c) * math.pi for l in range(lo, hi + 1)]
-        oracle = np.abs(corona_transition_element(gdec, params, u, v, np.array(times))) ** 2
-        res = _exact_phase_scan(rows, grid, u, v, 1e-300, lo, hi, "heuristic-search")
+        oracle = exact_grid_fidelities(gdec, params, u, v, grid, lo, hi)
+        res = pgst_scan(gdec, params, u, v, 1e-300, hi, grid, l_start=lo)
         assert res.best_l == lo + int(np.argmax(oracle)), (lo, hi)
-        assert res.time == times[res.best_l - lo]
-        assert res.fidelity == pytest.approx(oracle.max(), abs=tol), (lo, hi)
+        assert res.time == (2.0 * step * res.best_l + 2.0 * b / c) * math.pi
+        assert res.fidelity == pytest.approx(oracle.max(), abs=1e-12), (lo, hi)
         # the tables stay within 2k units of 2^-64 turns of the exact phases
         # that a scan starting at best_l reads
-        alone = _exact_phase_scan(rows, grid, u, v, 1e-300, res.best_l, res.best_l, "heuristic-search")
+        alone = pgst_scan(gdec, params, u, v, 1e-300, res.best_l, grid, l_start=res.best_l)
         assert res.fidelity == pytest.approx(alone.fidelity, abs=1e-13), (lo, hi)
 
 
 def test_scan_keeps_the_first_hit_and_the_smaller_l_on_ties():
     _, _, gdec, params = corona_of("C:5", "K:1")
     l_bound = 9000  # two chunks
-    oracle = np.array(
-        [abs(corona_transition_element(gdec, params, 0, 1, (4.0 * l + 2.0) * math.pi)) ** 2
-         for l in range(l_bound + 1)]
-    )
-    res = pgst_scan(gdec, params, 0, 1, 1e-9, l_bound, 1)
+    oracle = exact_grid_fidelities(gdec, params, 0, 1, (2, 1, 1), 0, l_bound)
+    res = pgst_scan(gdec, params, 0, 1, 1e-9, l_bound, (2, 1, 1))
     assert not res.achieved
     assert res.best_l == int(np.argmax(oracle))
     assert res.fidelity == pytest.approx(oracle[res.best_l], abs=1e-10)
     # a threshold below the maximum stops at the first l reaching it
     eps = 1.0 - float(np.sort(oracle)[-5])
-    res = pgst_scan(gdec, params, 0, 1, eps, l_bound, 1)
+    res = pgst_scan(gdec, params, 0, 1, eps, l_bound, (2, 1, 1))
     assert res.achieved
     assert res.best_l == int(np.flatnonzero(oracle >= 1.0 - eps - 1e-12)[0])
     # a start inside the range scans only what follows it
-    res = pgst_scan(gdec, params, 0, 1, 1e-9, l_bound, 1, l_start=5000)
+    res = pgst_scan(gdec, params, 0, 1, 1e-9, l_bound, (2, 1, 1), l_start=5000)
     assert res.best_l == 5000 + int(np.argmax(oracle[5000:]))
 
 
 def test_scan_rejects_a_negative_start():
     _, _, gdec, params = corona_of("CP:4", "empty:1")
     with pytest.raises(ValueError, match="non-negative"):
-        pgst_scan(gdec, params, 0, 1, 0.01, 10, 2, l_start=-1)
+        pgst_scan(gdec, params, 0, 1, 0.01, 10, (2, 1, 2), l_start=-1)
 
 
-@pytest.mark.parametrize("g", [0, -1])
-def test_scan_rejects_a_grid_parameter_below_one(g):
-    # g = -1 would scan T_l = (4l - 2)*pi, and g = 0 divide by zero
+@pytest.mark.parametrize("grid", [
+    pytest.param((2, 1, 0), id="0"),  # (2, 1, g) is (4l + 2/g)*pi: g = 0 divides by zero
+    pytest.param((2, 1, -1), id="-1"),  # and g = -1 would scan (4l - 2)*pi
+    pytest.param((0, 1, 1), id="step-0"),
+    pytest.param((2, -1, 1), id="offset--1"),
+    pytest.param((2, 2, 4), id="unreduced-2-4"),
+])
+def test_scan_rejects_a_grid_parameter_below_one(grid):
     _, _, gdec, params = corona_of("CP:2", "empty:3")
-    with pytest.raises(ValueError, match=f"g must be a positive integer, got {g}"):
-        pgst_scan(gdec, params, 0, 1, 0.01, 10, g)
+    message = re.escape(f"grid (step, b, c) needs step, c >= 1 and b/c >= 0 reduced, got {grid}")
+    with pytest.raises(ValueError, match=message):
+        pgst_scan(gdec, params, 0, 1, 0.01, 10, grid)
 
 
 def test_every_search_returns_a_result_with_its_basis(monkeypatch):
     _, _, gdec, params = corona_of("CP:4", "empty:1")
-    scan = pgst_scan(gdec, params, 0, 1, 1e-2, 50, 2)
+    scan = pgst_scan(gdec, params, 0, 1, 1e-2, 50, (2, 1, 2))
     assert isinstance(scan, PGSTSearchResult)
     assert (scan.u, scan.v, scan.target_epsilon, scan.l_bound) == (0, 1, 1e-2, 50)
     assert scan.basis == "heuristic-search"
@@ -225,17 +217,15 @@ def _grid_ls(seed):
 @pytest.mark.parametrize("g", range(1, 9))
 def test_scan_times_equal_the_closed_expression(g):
     _, _, gdec, params = corona_of("CP:4", "empty:1")
-    rows = _pair_rows(gdec, params)
     for l in _grid_ls(g):
-        res = pgst_scan(gdec, params, 0, 1, 1e-300, l, g, l_start=l, rows=rows)
+        res = pgst_scan(gdec, params, 0, 1, 1e-300, l, (2, 1, g), l_start=l)
         assert res.time.hex() == ((4.0 * l + 2.0 / g) * math.pi).hex(), l
 
 
 def test_cocktail_grid_times_equal_the_closed_expression():
     _, _, gdec, params = corona_of("CP:3", "K:1")
-    terms = _phase_terms(gdec, params, _pair_rows(gdec, params), 0, 1)
     for l in _grid_ls(0):
-        res = _exact_phase_scan(terms, (1, 0, 1), 0, 1, 1e-300, l, l, "distinct-surd-parts")
+        res = pgst_scan(gdec, params, 0, 1, 1e-300, l, (1, 0, 1), l_start=l)
         assert res.time.hex() == (2.0 * math.pi * l).hex(), l
 
 
@@ -258,7 +248,7 @@ def test_turn_pairs_equal_the_per_member_formula(g):
     # pgst_scan's grid (4l + 2/g)*pi: the table's step n = 2, m = 1, and each
     # chunk's n = 2*g*l + 1, m = g
     _, _, gdec, params = corona_of("CP:4", "empty:1")
-    rows = _phase_terms(gdec, params, _pair_rows(gdec, params), 0, 1)
+    rows = _phase_rows(gdec, params, 0, 1)
     assert all(q == 2 and d > 0 for *_, q, d in rows)
     _assert_turn_pairs_match_reference(rows, 2, 1)
     for l in _grid_ls(g):
@@ -267,7 +257,7 @@ def test_turn_pairs_equal_the_per_member_formula(g):
 
 def test_cocktail_turn_pairs_equal_the_per_member_formula():
     _, _, gdec, params = corona_of("CP:3", "K:1")
-    rows = _phase_terms(gdec, params, _pair_rows(gdec, params), 0, 1)
+    rows = _phase_rows(gdec, params, 0, 1)
     # step * p / q is odd on this grid, never on pgst_scan's step-2 grid
     assert any(p // q % 2 for _, _, p, q, _ in rows)
     for l in _grid_ls(0):
@@ -276,7 +266,7 @@ def test_cocktail_turn_pairs_equal_the_per_member_formula():
 
 def test_float_rows_carry_one_member_each():
     _, _, gdec, params = corona_of("C:5", "K:1")
-    rows = _phase_terms(gdec, params, _pair_rows(gdec, params), 0, 1)
+    rows = _phase_rows(gdec, params, 0, 1)
     floats = [row for row in rows if row[4] == 0]
     assert len(rows) - len(floats) == 1  # the top pair
     assert len(floats) == 2 * (len(gdec.eigenvalues) - 1)
@@ -289,10 +279,10 @@ def test_full_scan_memory_stays_below_one_mib():
     # a chunk's fidelities fill a 2 * 128 x 256 buffer, 512 KiB; the tables
     # hold 2 * 5 x 256 floats and 128 x 5 complex rotations
     _, _, gdec, params = corona_of("HQ:4", "empty:7")
-    pgst_scan(gdec, params, 0, 15, 1e-300, 10, 2)
+    pgst_scan(gdec, params, 0, 15, 1e-300, 10, (2, 1, 2))
     tracemalloc.start()
     try:
-        res = pgst_scan(gdec, params, 0, 15, 1e-300, 10**6, 2)
+        res = pgst_scan(gdec, params, 0, 15, 1e-300, 10**6, (2, 1, 2))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -302,10 +292,10 @@ def test_full_scan_memory_stays_below_one_mib():
 
 def test_one_point_scan_sizes_its_tables_to_the_range():
     _, _, gdec, params = corona_of("HQ:4", "empty:7")
-    pgst_scan(gdec, params, 0, 15, 1e-300, 10, 2)
+    pgst_scan(gdec, params, 0, 15, 1e-300, 10, (2, 1, 2))
     tracemalloc.start()
     try:
-        res = pgst_scan(gdec, params, 0, 15, 1e-300, 10**6, 2, l_start=10**6)
+        res = pgst_scan(gdec, params, 0, 15, 1e-300, 10**6, (2, 1, 2), l_start=10**6)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -329,7 +319,7 @@ def test_searches_reject_pairs_that_are_not_two_base_vertices(search, u, v):
     _, _, gdec, params = corona_of("CP:4", "empty:1")
     with pytest.raises(ValueError, match="^need two distinct base vertices below 8$"):
         if search == "scan":
-            pgst_scan(gdec, params, u, v, 1e-2, 100, 2)
+            pgst_scan(gdec, params, u, v, 1e-2, 100, (2, 1, 2))
         else:
             pgst_time_search(gdec, params, u, v, 1e-2, 100)
 
@@ -353,7 +343,7 @@ def test_cocktail_grid_matches_transition_element():
 def test_k2_even_attachment_is_not_guaranteed():
     _, _, gdec, params = corona_of("K:2", "empty:2")
     res = pgst_time_search(gdec, params, 0, 1, 1e-2, 100)
-    scan = pgst_scan(gdec, params, 0, 1, 1e-2, 100, 2)
+    scan = pgst_scan(gdec, params, 0, 1, 1e-2, 100, (2, 1, 2))
     assert (res.basis, res.note) == (
         "heuristic-search",
         "pair gap 3 at base eigenvalue 0 is not a multiple of g = 2; "

@@ -11,7 +11,6 @@ import qwcorona
 from qwcorona.algebraic import QuadExt
 from qwcorona.corona_spectra import (
     CoronaParams,
-    corona_transition_element,
     pair_radicand,
     top_radicand,
 )
@@ -35,7 +34,7 @@ from qwcorona.state_transfer import (
     pgst_time_search,
     pst_certify,
 )
-from oracle import corona_full_q, path_graph
+from oracle import corona_full_q, corona_transition_element, path_graph
 
 
 def dec_of(spec: str):
@@ -328,7 +327,7 @@ def test_certified_endpoints_periodic_at_double_time():
 def assert_heuristic_search(gdec, params, u, v, g, note):
     """An unmet condition gives `pgst_scan`'s result at g, with the condition as its note."""
     res = pgst_time_search(gdec, params, u, v, 1e-2, 3000)
-    scan = pgst_scan(gdec, params, u, v, 1e-2, 3000, g)
+    scan = pgst_scan(gdec, params, u, v, 1e-2, 3000, (2, 1, g))
     assert (res.basis, res.note) == ("heuristic-search", note)
     assert (res.best_l, res.time, res.fidelity) == (scan.best_l, scan.time, scan.fidelity)
 
@@ -378,8 +377,8 @@ def test_pgst_time_search_achieves_on_cp4():
 def test_pgst_scan_monotone_in_bound():
     gdec = dec_of("CP:4")
     params = CoronaParams(n1=8, n2=1, r1=6, r2=0)
-    f_small = pgst_scan(gdec, params, 0, 1, 1e-9, 300, 2).fidelity
-    f_large = pgst_scan(gdec, params, 0, 1, 1e-9, 3000, 2).fidelity
+    f_small = pgst_scan(gdec, params, 0, 1, 1e-9, 300, (2, 1, 2)).fidelity
+    f_large = pgst_scan(gdec, params, 0, 1, 1e-9, 3000, (2, 1, 2)).fidelity
     assert f_large >= f_small - 1e-15
 
 
@@ -388,9 +387,9 @@ def test_pgst_scan_epsilon_validation():
     params = CoronaParams(n1=8, n2=1, r1=6, r2=0)
     for eps in (0.0, -0.1, 1.5):
         with pytest.raises(ValueError):
-            pgst_scan(gdec, params, 0, 1, eps, 10, 2)
+            pgst_scan(gdec, params, 0, 1, eps, 10, (2, 1, 2))
     # epsilon = 1 is legal and trivially achieved
-    assert pgst_scan(gdec, params, 0, 1, 1.0, 1, 2).achieved
+    assert pgst_scan(gdec, params, 0, 1, 1.0, 1, (2, 1, 2)).achieved
 
 
 def test_pgst_cocktail_validation():
@@ -407,7 +406,7 @@ def test_pgst_searches_reject_non_finite_epsilon(eps):
     params = CoronaParams(n1=8, n2=1, r1=6, r2=0)
     message = re.escape(f"epsilon must lie in (0, 1], got {eps}")
     with pytest.raises(ValueError, match=message):
-        pgst_scan(gdec, params, 0, 1, eps, 10, 2)
+        pgst_scan(gdec, params, 0, 1, eps, 10, (2, 1, 2))
     with pytest.raises(ValueError, match=message):
         pgst_cocktail(3, eps, 10)
 
