@@ -390,6 +390,8 @@ def cmd_fidelity(args, cfg: RunConfig) -> tuple:
     v = parse_address(args.v, spec)
     if args.tau is not None and not math.isfinite(args.tau):
         raise ValueError(f"tau must be finite, got {args.tau}")
+    if args.tau is not None and cfg.format == "csv":
+        raise ValueError("--tau has no CSV form; use --format json")
     dec = decompose(signless_laplacian(spec.graph))
     if args.tau is not None:
         amp = transition_amplitude(dec, u, v, args.tau)

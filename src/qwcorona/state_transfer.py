@@ -3,9 +3,9 @@
 Three layers, ordered by strength:
 
   refutations    integer rules on a corona's order, degree and base support
-                 (the size bound, the K2 rules, close-top-ratio, non-square
-                 radicands) that rule out periodicity of a base vertex,
-                 hence transfer; one private ladder, `_refutation`
+                 (the size bound, then non-square pair and top radicands)
+                 that rule out periodicity of a base vertex, hence
+                 transfer; one private ladder, `_refutation`
   certification  exact eigenvalue-form and parity analysis that proves or
                  disproves perfect transfer and produces the minimum time;
                  between corona base vertices it runs in closed form from
@@ -33,7 +33,6 @@ from .algebraic import (
     as_exact,
     classify_support,
     is_perfect_square,
-    square_free_part,
 )
 from .corona_spectra import (
     CoronaParams,
@@ -503,7 +502,8 @@ def pgst_cocktail(
     Applicability for odd m > 2 splits on the top radicand
     R = 4*(4*(m-1)^2 + (2m-1)^2): branch one when R is a perfect square,
     branch two when R is irrational with square-free part different from
-    that of the pair radicand 4*((m-1)^2 + 1) at theta = 2m-2.  Both
+    that of the pair radicand 4*((m-1)^2 + 1) at theta = 2m-2, that is,
+    when the product of the two radicands is not a square.  Both
     branches scan T = 2*pi*l for l in [1, l_bound] and score candidates
     purely by fidelity; otherwise the basis is hypotheses-not-met and
     nothing is scanned.
@@ -517,7 +517,7 @@ def pgst_cocktail(
     c1 = pair_radicand(params, 2 * m - 2)
     if is_perfect_square(r):
         basis = "rational-top-gap"
-    elif square_free_part(r)[1] != square_free_part(c1)[1]:
+    elif not is_perfect_square(r * c1):
         basis = "distinct-surd-parts"
     else:
         return PGSTSearchResult(0, 1, epsilon, l_bound, False, "hypotheses-not-met")
@@ -536,30 +536,24 @@ def _refutation(params: CoronaParams, u: int, v: int, integral: dict):
 
     `integral` maps u and v to their base supports as plain ints.  Each
     rule shows a base vertex is not periodic, hence has no transfer
-    (Godsil, "Periodic graphs", 2011), or applies to the K2 base.  Tried in
+    (Godsil, "Periodic graphs", 2011): its corona support holds both
+    members (a +/- sqrt(D))/2 of each pair, a different a per pair, so it is
+    periodic only if every pair radicand D in it is a square.  Tried in
     order, with gap(theta) = |theta - s + t| and top = 2*r1:
 
       size-bound            n2 >= gap(theta) + 1 for every support theta
                             below the top, n2*(n1 - 1)^2 >= gap(top) + 1;
                             u first, then v
-      even-order-rule       n1 = 2 and even n2, from the literature
-      prime-order-rule      n1 = 2 and n2 = 1 or an odd prime: the
-                            radicands at theta = 0 and at the top are never
-                            both squares
-      close-top-ratio       0 < |gap(top) - (n1 - 1)*gap(gamma)| < 3 for a
-                            support gamma below the top
       nonperiodic-endpoint  a non-square pair radicand below the top, then
                             a non-square top radicand; u first, then v
 
-    No other rule can fire.  Once the size bound holds, a support has at
-    most one value below the top: r2 <= n2 - 1 gives theta - s + t >=
-    theta + 3 - n1 + n2*(n1 - 3), which reaches n2 for n1 >= 4 and
-    theta >= 1, so only theta = 0 is left; and the connected regular bases
-    on 2 and 3 vertices are K2 and K3.  So no two gaps below the top can be
-    compared.  The balanced case s = 2*r1 + t needs n1 = 2, where a K2
-    rule or close-top-ratio (gap(0) = 2, gap(top) = 0) fires first.
-    Returns (basis, vertex whose support is reported, witness), or None
-    when no rule fires.
+    The size bound is the second rule's cheap first test: x^2 + 4*m is a
+    square (|x| + j)^2 only if 4*m = 2*j*|x| + j^2, so j = 2*i and
+    m = i*(|x| + i) >= |x| + 1, with m = n2 below the top and
+    n2*(n1 - 1)^2 at it.  A support whose radicands are all squares
+    passes both rules and goes to the exact certifier.  Returns (basis,
+    vertex whose support is reported, witness), or None when no rule
+    fires.
     """
     top = 2 * params.r1
     shift = params.t - params.s
@@ -570,22 +564,6 @@ def _refutation(params: CoronaParams, u: int, v: int, integral: dict):
                 return "size-bound", w, {"vertex": w, "eigenvalue": th}
         if params.n2 * (params.n1 - 1) ** 2 < abs(top + shift) + 1:
             return "size-bound", w, {"vertex": w, "eigenvalue": top}
-    if params.n1 == 2:
-        n2 = params.n2
-        if n2 % 2 == 0:
-            return "even-order-rule", u, {"provenance": "external-literature", "witness": None}
-        if all(n2 % f for f in range(3, math.isqrt(n2) + 1, 2)):
-            radicands = (pair_radicand(params, 0), top_radicand(params))
-            bad = [d for d in radicands if not is_perfect_square(d)]
-            if not bad:
-                raise InternalInvariantError(
-                    "both pair radicands are squares; impossible for odd prime order"
-                )
-            return "prime-order-rule", u, {"provenance": "derived", "witness": bad[0]}
-    for w in (u, v):
-        for gamma in below[w]:
-            if 0 < abs(abs(top + shift) - (params.n1 - 1) * abs(gamma + shift)) < 3:
-                return "close-top-ratio", w, {"vertex": w, "witness": gamma}
     for w in (u, v):
         for th in below[w]:
             d = pair_radicand(params, th)

@@ -163,10 +163,14 @@ def test_criterion_04_cube_family_nonperiodic_with_exact_spectra():
 
 def test_criterion_05_two_vertex_base_rule():
     # K2 with odd attachments of one, three, five vertices: no transfer,
-    # confirmed by the orchestrator (the size bound for one vertex, the
-    # derived rule otherwise) and by the numbers
+    # confirmed by the orchestrator (the size bound for one vertex, a
+    # non-square radicand otherwise) and by the numbers
     g = complete_graph(2)
-    for hspec, basis in (("K:1", "size-bound"), ("C:3", "prime-order-rule"), ("C:5", "prime-order-rule")):
+    for hspec, basis in (
+        ("K:1", "size-bound"),
+        ("C:3", "nonperiodic-endpoint"),
+        ("C:5", "nonperiodic-endpoint"),
+    ):
         h = generate(hspec)
         rep = corona_base_pst_check(g, h, 0, 1)
         assert (rep.verdict, rep.basis) == (NO_PST, basis), hspec

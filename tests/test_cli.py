@@ -356,12 +356,14 @@ def test_spectrum_projectors_flag(capsys):
     [
         (["spectrum", "K:2", "--projectors"], "--projectors"),
         (["corona-spectrum", "K:2", "K:1", "--materialize-projectors"], "--materialize-projectors"),
+        (["fidelity", "K:2", "0", "1", "--tau", "1"], "--tau"),
     ],
 )
 @pytest.mark.parametrize("by_env", [False, True])
 def test_projectors_have_no_csv_form(capsys, monkeypatch, argv, flag, by_env):
-    # CSV has no place for projector matrices: the request fails and names
-    # the flag, whether the flag or QWC_FORMAT asks for CSV
+    # CSV has no place for projector matrices or for one amplitude: the
+    # request fails and names the flag, whether the flag or QWC_FORMAT asks
+    # for CSV
     if by_env:
         monkeypatch.setenv("QWC_FORMAT", "csv")
     else:

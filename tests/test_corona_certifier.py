@@ -27,7 +27,6 @@ from qwcorona import (
     pst_certify,
     signless_laplacian,
 )
-from qwcorona.algebraic import square_free_part
 from qwcorona.corona_spectra import _row_keys
 from qwcorona.spectra import DEFAULT_SUPPORT_TOL, strong_cospectrality
 from qwcorona.state_transfer import NO_PST, UNDECIDED
@@ -417,10 +416,7 @@ def test_a_certified_support_builds_one_quadext_per_supported_value(monkeypatch)
 def test_a_size_bound_refutation_factors_nothing(monkeypatch):
     # C4 ~o K1 (0, 2) is refuted by the size bound; its support is integral,
     # so the QuadExt of each member has delta 1, which needs no factoring
-    import qwcorona.state_transfer as st
-
     built, splits = _counting_factorizations(monkeypatch)
-    monkeypatch.setattr(st, "square_free_part", lambda n: splits.append(n) or square_free_part(n))
     rep = corona_base_pst_check(generate("C:4"), generate("K:1"), 0, 2)
     assert rep.basis == "size-bound"
     assert len(built) == len(rep.support) == 3

@@ -14,7 +14,7 @@ from scipy.optimize import minimize_scalar
 
 import qwcorona.state_transfer as st
 from qwcorona import cli
-from qwcorona.corona_spectra import CoronaParams
+from qwcorona.corona_spectra import CoronaParams, pair_radicand, top_radicand
 from qwcorona.graphs import generate, signless_laplacian
 from qwcorona.spectra import (
     _bounded_golden,
@@ -201,8 +201,11 @@ def test_every_search_returns_a_result_with_its_basis(monkeypatch):
         res = pgst_cocktail(m, 1e-2, 50)
         assert isinstance(res, PGSTSearchResult)
         assert (res.u, res.v, res.target_epsilon, res.l_bound, res.basis) == (0, 1, 1e-2, 50, basis)
-    # no odd m below 400 has equal square-free parts; force them equal
-    monkeypatch.setattr(st, "square_free_part", lambda n: (1, 2))
+    # no odd m below 400 has equal square-free parts; force them equal by
+    # reading the product of the two radicands alone as a square
+    params = CoronaParams(n1=6, n2=1, r1=4, r2=0)
+    product = top_radicand(params) * pair_radicand(params, 4)
+    monkeypatch.setattr(st, "is_perfect_square", lambda n: n == product)
     res = pgst_cocktail(3, 1e-2, 50)
     assert res == PGSTSearchResult(0, 1, 1e-2, 50, False, "hypotheses-not-met")
 

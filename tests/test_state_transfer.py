@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import qwcorona
-from qwcorona.algebraic import QuadExt
+from qwcorona.algebraic import QuadExt, is_perfect_square
 from qwcorona.corona_spectra import (
     CoronaParams,
     pair_radicand,
@@ -29,6 +29,7 @@ from qwcorona.state_transfer import (
     PST,
     _refutation,
     corona_base_pst_check,
+    corona_pst_certify,
     pgst_cocktail,
     pgst_scan,
     pgst_time_search,
@@ -121,8 +122,9 @@ def test_balanced_corona_params_only_on_k2_or_edgeless_bases():
 
 
 def test_size_bound_leaves_only_zero_below_the_top():
-    # the lemma behind `_refutation`'s rule list: on n1 >= 4 vertices every
-    # theta >= 1 breaks n2 >= |theta - s + t| + 1, whatever r2 < n2
+    # on n1 >= 4 vertices every theta >= 1 breaks n2 >= |theta - s + t| + 1,
+    # whatever r2 < n2, so past the size bound only theta = 0 is left
+    # below the top
     n2 = np.arange(1, 81)[:, None, None]
     r2 = np.arange(80)[None, :, None]
     for n1 in range(4, 41):
@@ -131,9 +133,22 @@ def test_size_bound_leaves_only_zero_below_the_top():
         assert np.all((r2 >= n2) | (n2 < gap + 1)), n1
 
 
+def test_size_bound_implies_a_non_square_radicand():
+    # x^2 + 4*m with m >= 1 is a square only if m >= |x| + 1, so a size
+    # bound violation is a non-square radicand and the bound is the first
+    # test of the non-square radicand rule
+    x = np.arange(-300, 301)[:, None]
+    m = np.arange(1, 601)[None, :]
+    d = x * x + 4 * m
+    root = np.rint(np.sqrt(d)).astype(np.int64)
+    assert np.all((root * root != d) | (m >= np.abs(x) + 1))
+    assert np.any((root * root == d) & (m == np.abs(x) + 1))
+
+
 def test_k2_odd_composite_attachments_meet_close_top_ratio():
-    # the K2 rules skip odd composite n2; wherever the size bound holds there,
-    # close-top-ratio fires, so the balanced case never reaches a later rule
+    # on odd composite n2 past the size bound, the K2 base always meets the
+    # close-top-ratio inequality 0 < |gap(top) - gap(0)| < 3; a radicand is
+    # then not a square, and the rule that reads it refutes at u
     integral = int_supports("K:2", 0, 1)
     fired = 0
     for n2 in range(9, 400, 2):
@@ -144,8 +159,10 @@ def test_k2_odd_composite_attachments_meet_close_top_ratio():
             x = params.t - params.s
             if n2 < abs(x) + 1 or n2 < abs(2 + x) + 1:
                 continue
+            assert 0 < abs(abs(2 + x) - abs(x)) < 3, (n2, r2)
             basis, w, witness = _refutation(params, 0, 1, integral)
-            assert (basis, w, witness) == ("close-top-ratio", 0, {"vertex": 0, "witness": 0}), (n2, r2)
+            assert (basis, w) == ("nonperiodic-endpoint", 0), (n2, r2)
+            assert not is_perfect_square(witness["witness"][1]), (n2, r2)
             fired += 1
     assert fired > 10_000
 
@@ -169,10 +186,11 @@ def test_size_bound_top_violation_for_k2_pendant():
 
 
 def test_size_bound_holds_for_k2_cycle_attachments():
-    # r2 >= 1 shrinks the top gap enough for K2 bases: a K2 rule decides
+    # r2 >= 1 shrinks the top gap enough for K2 bases: a non-square
+    # radicand decides
     for h in (generate("C:3"), generate("C:5"), graph_from_edges(4, [(0, 1), (2, 3)])):
         rep = corona_base_pst_check(complete_graph(2), h, 0, 1)
-        assert rep.basis in ("prime-order-rule", "even-order-rule"), h
+        assert (rep.verdict, rep.basis) == (NO_PST, "nonperiodic-endpoint"), h
 
 
 # =========================================================================
@@ -213,8 +231,8 @@ def test_gap_refutation_singleton_vacuous():
 
 
 def test_gap_refutation_passes_k3_c4():
-    # gap(top) = 6 = (n1 - 1)*gap(1): close-top-ratio does not fire, and
-    # every pair reaches the certifier
+    # both radicands, 25 and 100, are squares: every pair reaches the
+    # certifier
     for u, v in ((0, 1), (0, 2), (1, 2)):
         assert decide("K:3", "C:4", u, v).basis == "not-strongly-cospectral"
 
@@ -225,41 +243,93 @@ def test_gap_refutation_passes_k3_c4():
 
 
 def test_k2_rule_n2_one():
-    # n2 = 1 is in the prime-order rule's scope, but the size bound fails first
+    # with one attached vertex the size bound fails first
     rep = decide("K:2", "K:1")
     assert (rep.verdict, rep.basis) == (NO_PST, "size-bound")
 
 
 def test_k2_rule_odd_primes():
+    # an odd prime n2 is never k*(k+1), so a radicand is not a square
     for hspec in ("C:3", "C:5", "K:5", "C:7", "K:7"):
         rep = decide("K:2", hspec)
-        assert (rep.verdict, rep.basis) == (NO_PST, "prime-order-rule")
-        assert rep.refutation_witness["provenance"] == "derived"
+        assert (rep.verdict, rep.basis) == (NO_PST, "nonperiodic-endpoint")
+        assert not is_perfect_square(rep.refutation_witness["witness"][1])
 
 
 def test_k2_rule_even():
-    for hspec in ("K:2", "C:4", "CP:3", "K:6"):
+    # K2 ~o K2 is n2 = 1*2 with r2 = n2/2: both radicands are squares and
+    # the certifier refutes on parity; the others have a non-square radicand
+    for hspec, basis in (
+        ("K:2", "parity-mismatch"),
+        ("C:4", "nonperiodic-endpoint"),
+        ("CP:3", "nonperiodic-endpoint"),
+        ("K:6", "nonperiodic-endpoint"),
+    ):
         rep = decide("K:2", hspec)
-        assert (rep.verdict, rep.basis) == (NO_PST, "even-order-rule")
-        assert rep.refutation_witness == {"provenance": "external-literature", "witness": None}
+        assert (rep.verdict, rep.basis) == (NO_PST, basis), hspec
 
 
 def test_k2_rule_odd_composite_undecided():
-    # outside both K2 rules; close-top-ratio decides instead
     for hspec in ("C:9", "C:15", "K:21"):
         rep = decide("K:2", hspec)
-        assert (rep.verdict, rep.basis) == (NO_PST, "close-top-ratio")
+        assert (rep.verdict, rep.basis) == (NO_PST, "nonperiodic-endpoint")
 
 
 def test_k2_rule_witness_radicands():
     # the witness is the first non-square of the radicands at theta = 0 and
     # at the top, x^2 + 4*n2 and (x+2)^2 + 4*n2 with x = n2 - 2*r2 - 1:
     # K3 gives 16 and 12, C5 gives 20 and 36
-    for hspec, witness in (("C:3", 12), ("C:5", 20)):
+    for hspec, witness in (("C:3", (2, 12)), ("C:5", (0, 20))):
         rep = decide("K:2", hspec)
         params = CoronaParams.from_graphs(generate("K:2"), generate(hspec))
         assert rep.refutation_witness["witness"] == witness
-        assert witness in (pair_radicand(params, 0), top_radicand(params))
+        assert witness[1] in (pair_radicand(params, 0), top_radicand(params))
+
+
+def test_k2_radicands_are_both_squares_only_on_the_pronic_family():
+    # both K2 radicands are squares exactly when n2 = k*(k+1) and
+    # r2 = n2/2, and the exact certifier refutes each such corona on parity
+    found = []
+    for n2 in range(1, 10_001):
+        r2 = np.arange(0, n2, 1 if n2 % 2 == 0 else 2)  # n2*r2 even
+        x = n2 - 2 * r2 - 1
+        both = np.ones(len(r2), dtype=bool)
+        for d in (x * x + 4 * n2, (x + 2) ** 2 + 4 * n2):
+            root = np.rint(np.sqrt(d)).astype(np.int64)
+            both &= root * root == d
+        found += [(n2, int(r)) for r in r2[both]]
+    assert found == [(k * (k + 1), k * (k + 1) // 2) for k in range(1, 100)]
+    gdec = dec_of("K:2")
+    for n2, r2 in found:
+        rep = corona_pst_certify(gdec, CoronaParams(n1=2, n2=n2, r1=1, r2=r2), 0, 1)
+        assert (rep.verdict, rep.basis) == (NO_PST, "parity-mismatch"), (n2, r2)
+
+
+@pytest.mark.parametrize("gspec", ["K:2", "K:3"])
+def test_close_top_ratio_cases_have_a_non_square_radicand(gspec):
+    # wherever 0 < |gap(top) - (n1 - 1)*gap(gamma)| < 3 holds past the size
+    # bound, some radicand of the support is not a square, so the
+    # non-square radicand rule refutes
+    n1, r1, cases = {"K:2": (2, 1, 33_525), "K:3": (3, 2, 594)}[gspec]
+    support = int_supports(gspec, 0)[0]
+    gamma = min(support)
+    met = 0
+    for n2 in range(1, 301):
+        for r2 in range(n2):
+            if n2 * r2 % 2:
+                continue
+            params = CoronaParams(n1=n1, n2=n2, r1=r1, r2=r2)
+            x = params.t - params.s
+            top = 2 * r1
+            if n2 < abs(gamma + x) + 1 or n2 * (n1 - 1) ** 2 < abs(top + x) + 1:
+                continue
+            if not 0 < abs(abs(top + x) - (n1 - 1) * abs(gamma + x)) < 3:
+                continue
+            radicands = (pair_radicand(params, gamma), top_radicand(params))
+            assert not all(map(is_perfect_square, radicands)), (n2, r2)
+            assert _refutation(params, 0, 1, {0: support, 1: support})[0] == "nonperiodic-endpoint"
+            met += 1
+    assert met == cases
 
 
 # =========================================================================
@@ -456,10 +526,12 @@ def test_orchestrator_k2_coronas():
     g = complete_graph(2)
     rep = corona_base_pst_check(g, cycle_graph(3), 0, 1)
     assert rep.verdict == NO_PST
-    assert rep.basis == "prime-order-rule"
+    assert rep.basis == "nonperiodic-endpoint"
+    # both radicands are 9, a square: the certifier refutes on parity
     rep = corona_base_pst_check(g, complete_graph(2), 0, 1)
     assert rep.verdict == NO_PST
-    assert rep.basis == "even-order-rule"
+    assert rep.basis == "parity-mismatch"
+    assert rep.refutation_witness == 2.0
 
 
 @pytest.mark.parametrize(
@@ -468,13 +540,25 @@ def test_orchestrator_k2_coronas():
         ("K:3", "K:1", "size-bound", (4, 1), {"vertex": 0, "eigenvalue": 1}),
         (
             "K:2",
-            "K:2",
-            "even-order-rule",
+            "K:4",
+            "nonperiodic-endpoint",
             (2, 0),
-            {"provenance": "external-literature", "witness": None},
+            {"vertex": 0, "rule": "non-square-top-gap", "witness": (2, 17)},
         ),
-        ("K:2", "K:3", "prime-order-rule", (2, 0), {"provenance": "derived", "witness": 12}),
-        ("K:3", "K:2", "close-top-ratio", (4, 1), {"vertex": 0, "witness": 1}),
+        (
+            "K:2",
+            "K:3",
+            "nonperiodic-endpoint",
+            (2, 0),
+            {"vertex": 0, "rule": "non-square-top-gap", "witness": (2, 12)},
+        ),
+        (
+            "K:3",
+            "K:2",
+            "nonperiodic-endpoint",
+            (4, 1),
+            {"vertex": 0, "rule": "non-square-top-gap", "witness": (4, 48)},
+        ),
         (
             "K:3",
             "CP:3",
@@ -492,7 +576,8 @@ def test_orchestrator_k2_coronas():
     ],
 )
 def test_orchestrator_refutation_exits(gspec, hspec, basis, support, witness):
-    # one case per refutation the orchestrator can return, in rule order;
+    # the size bound, then non-square radicands: on K2 with an even and an
+    # odd prime attachment order, on K3 at the top and below it;
     # C8(1,2) is the circulant joining each vertex to the two on either side
     h = circulant(8, 2) if hspec == "C8(1,2)" else generate(hspec)
     rep = corona_base_pst_check(generate(gspec), h, 0, 1)
